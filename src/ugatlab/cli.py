@@ -12,8 +12,8 @@ import configparser
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from ugatlab.experiment import (
     run_ugat,
     sweep_static_alpha,
 )
+from ugatlab.experiment.protocols import build_gap_report
 from ugatlab.grounding import GroundingConfig
 from ugatlab.numnet import MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
 from ugatlab.sim import SimConfig, generate_demand, save_demand
@@ -111,9 +112,7 @@ def resolve_out_dir(args) -> str:
 
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     overrides = load_config_file(args.config) if args.config else {}
-    dqn = DqnConfig(
-        state_scale=tuple([1.0 / 50.0] * 12 + [1.0] * 8), **overrides.get("dqn", {})
-    )
+    dqn = dataclasses.replace(ExperimentConfig().dqn, **overrides.get("dqn", {}))
     grounding = GroundingConfig(**overrides.get("grounding", {}))
     sim = SimConfig(**overrides.get("sim", {}))
     exp = dict(overrides.get("experiment", {}))
@@ -153,19 +152,6 @@ def _emit(rows, out_dir: str, quiet: bool) -> None:
         sys.stdout.write(summary.read_text())
 
 
-def _run_arm(payload):
-    label, cfg = payload
-    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
-    return label, runner(cfg)
-
-
-def _run_arms(arms, jobs: int):
-    if jobs <= 1 or len(arms) <= 1:
-        return [_run_arm(a) for a in arms]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_arm, arms))
-
-
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -185,102 +171,45 @@ def cmd_train_ugat(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_experiment_config(args, "ugat")
-    if args.jobs > 1:
-        from dataclasses import replace
-
-        arms = [
-            ("ugat", replace(cfg, algorithm="ugat")),
-            ("no_dynamic_alpha", replace(cfg, algorithm="ugat_static", static_alpha=0.5)),
-            ("no_alpha_no_uncertainty", replace(cfg, algorithm="gat", head="logits")),
-            ("no_grounding", replace(cfg, algorithm="direct")),
-        ]
-        rows = _run_arms(arms, args.jobs)
-    else:
-        rows = run_ablation(cfg)
-    _emit(rows, cfg.out_dir, args.quiet)
+    _emit(run_ablation(cfg, args.jobs), cfg.out_dir, args.quiet)
     return 0
 
 
 def cmd_sweep_alpha(args) -> int:
     cfg = build_experiment_config(args, "ugat")
-    alphas = _sweep_alphas(args)
-    if args.jobs > 1:
-        from dataclasses import replace
-
-        arms = [("dynamic", replace(cfg, algorithm="ugat"))] + [
-            (f"alpha_{a:g}", replace(cfg, algorithm="ugat_static", static_alpha=float(a)))
-            for a in alphas
-        ]
-        rows = _run_arms(arms, args.jobs)
-    else:
-        rows = sweep_static_alpha(cfg, alphas)
-    _emit(rows, cfg.out_dir, args.quiet)
+    _emit(sweep_static_alpha(cfg, _sweep_alphas(args), args.jobs), cfg.out_dir, args.quiet)
     return 0
 
 
 def cmd_compare_uncertainty(args) -> int:
     cfg = build_experiment_config(args, "ugat")
-    if args.jobs > 1:
-        from dataclasses import replace
-
-        arms = [(h, replace(cfg, algorithm="ugat", head=h)) for h in ("edl", "dropout", "ensemble")]
-        arms.append(("gat", replace(cfg, algorithm="gat", head="logits")))
-        rows = _run_arms(arms, args.jobs)
-    else:
-        rows = compare_uncertainty_methods(cfg)
-    _emit(rows, cfg.out_dir, args.quiet)
+    _emit(compare_uncertainty_methods(cfg, args.jobs), cfg.out_dir, args.quiet)
     return 0
 
 
 def cmd_gap_report(args) -> int:
     """Merge per-seed metrics.csv files from completed run dirs."""
-    from ugatlab.experiment.protocols import METRIC_KEYS
-
     incomplete = []
-    out_rows = []
+    rows = []
     for run_dir in args.run_dirs:
         base = Path(run_dir)
-        seed_dirs = sorted(base.glob("seed*"))
         per_seed = []
-        for sd in seed_dirs:
+        for sd in sorted(base.glob("seed*")):
+            seed = sd.name.removeprefix("seed")
             metrics = sd / "metrics.csv"
-            if not metrics.exists():
+            if not (seed.isdigit() and metrics.exists()):
                 incomplete.append(str(sd))
                 continue
-            rows = io.read_metrics_csv(metrics)
-            sim = io.seed_mean_metrics(rows, "sim")
-            real = io.seed_mean_metrics(rows, "real")
-            per_seed.append((sim, real, compute_gap(real, sim)))
+            raw = io.read_metrics_csv(metrics)
+            sim = io.seed_mean_metrics(raw, "sim")
+            real = io.seed_mean_metrics(raw, "real")
+            per_seed.append(SimpleNamespace(seed=int(seed), sim=sim, real=real, delta=compute_gap(real, sim)))
         if not per_seed:
             incomplete.append(str(base))
             continue
         label = f"{base.parent.name}/{base.name}" if base.parent.name else base.name
-        for metric in METRIC_KEYS:
-            sims = np.array([s[metric] for s, _, _ in per_seed])
-            reals = np.array([r[metric] for _, r, _ in per_seed])
-            deltas = np.array([d[metric] for _, _, d in per_seed])
-            std = lambda v: float(v.std(ddof=1)) if len(v) > 1 else 0.0
-            out_rows.append(
-                (
-                    label,
-                    metric,
-                    float(sims.mean()),
-                    std(sims),
-                    float(reals.mean()),
-                    std(reals),
-                    float(deltas.mean()),
-                    std(deltas),
-                    len(per_seed),
-                )
-            )
-    out = Path(resolve_out_dir(args))
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "gap_report.csv"
-    io._write_csv(
-        path,
-        ("label", "metric", "sim_mean", "sim_std", "real_mean", "real_std", "delta_mean", "delta_std", "seeds"),
-        out_rows,
-    )
+        rows.append((label, build_gap_report(base.parent.name, base.name, per_seed)))
+    path = io.write_gap_reports(resolve_out_dir(args), rows)
     if not args.quiet:
         print(f"wrote {path}")
     if incomplete:

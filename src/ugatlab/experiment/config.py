@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.grounding import GroundingConfig
@@ -52,11 +51,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown head {self.head!r}; pick from {HEADS}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if self.algorithm == "ugat_static":
-            if self.static_alpha is None:
-                raise ValueError("ugat_static needs static_alpha")
-            if not (0.0 <= self.static_alpha or math.isinf(self.static_alpha)):
-                raise ValueError(f"static_alpha must be >= 0 or +inf: {self.static_alpha}")
+        if self.algorithm == "ugat_static" and self.static_alpha is None:
+            raise ValueError("ugat_static needs static_alpha")
+        if self.static_alpha is not None and not self.static_alpha >= 0.0:  # NaN and -inf fail
+            raise ValueError(f"static_alpha must be >= 0 or +inf: {self.static_alpha}")
         if self.algorithm != "direct":
             if self.iterations < 1 or self.epochs_per_iteration < 1:
                 raise ValueError("grounding algorithms need iterations >= 1 and epochs >= 1")
@@ -66,14 +64,7 @@ class ExperimentConfig:
     @property
     def training_sim(self) -> SimConfig:
         """Training/rollout episodes run steps_per_episode decision intervals."""
-        return SimConfig(
-            decision_interval=self.sim.decision_interval,
-            tick=self.sim.tick,
-            yellow_time=self.sim.yellow_time,
-            episode_length=self.steps_per_episode * self.sim.decision_interval,
-            queue_speed_threshold=self.sim.queue_speed_threshold,
-            seed=self.sim.seed,
-        )
+        return replace(self.sim, episode_length=self.steps_per_episode * self.sim.decision_interval)
 
     @property
     def protocol_label(self) -> str:

@@ -11,8 +11,15 @@ Layout under the output root:
         vehicles.csv         per completed vehicle
         metrics.csv          per evaluation episode and environment
     demands/                 training + held-out evaluation schedules
-    gap_report.csv           per-protocol per-metric mean/std rows
+    gap_report.csv           one row per (label, metric): label,protocol,scenario,
+                             metric,sim_mean,sim_std,real_mean,real_std,
+                             delta_mean,delta_std,seeds
     summary.txt              side-by-side table of real(gap) +/- std
+
+Every command writes gap_report.csv in this one schema; gap-report labels
+its rows <protocol>/<scenario>. compare-uncertainty runs its edl, dropout and
+ensemble arms under the same ugat/<scenario>/seed<k>/ directory, so only the
+last head's per-seed files survive there.
 """
 
 from __future__ import annotations

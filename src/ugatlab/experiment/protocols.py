@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,6 +166,11 @@ def _sample_std(values: np.ndarray) -> float:
 
 
 def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -> GapReport:
+    """Per-metric mean and sample std over seeds.
+
+    per_seed items need only .seed and the per-metric dicts .sim, .real and
+    .delta, so per-seed means read back from metrics.csv files work too.
+    """
     stats = {}
     for k in METRIC_KEYS:
         sim = np.array([r.sim[k] for r in per_seed])
@@ -200,12 +207,7 @@ def _demands(cfg: ExperimentConfig) -> tuple[DemandSchedule, list[DemandSchedule
 
 
 def _env_factory(cfg: ExperimentConfig, params_name: str, demand: DemandSchedule, sim_cfg: SimConfig):
-    params = SCENARIOS[params_name]
-
-    def factory():
-        return TrafficSim(cfg.layout, params, demand, sim_cfg)
-
-    return factory
+    return partial(TrafficSim, cfg.layout, SCENARIOS[params_name], demand, sim_cfg)
 
 
 def rollout(
@@ -229,14 +231,9 @@ def rollout(
     return out
 
 
-def _evaluate_both(cfg: ExperimentConfig, agent: DqnAgent, eval_demands) -> tuple[EvalResult, EvalResult]:
+def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_trace=None) -> SeedResult:
     sim_eval = evaluate(agent, "Default", eval_demands, cfg.layout, cfg.sim, env_tag="sim")
     real_eval = evaluate(agent, cfg.scenario, eval_demands, cfg.layout, cfg.sim, env_tag="real")
-    return sim_eval, real_eval
-
-
-def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_trace=None) -> SeedResult:
-    sim_eval, real_eval = _evaluate_both(cfg, agent, eval_demands)
     return SeedResult(
         seed=seed,
         sim=sim_eval.mean,
@@ -358,8 +355,22 @@ def _run_grounded_seed(
     d_real: list[Transition] = []
     audit_rows: list[tuple] = []
     alpha_trace: list[tuple[int, float]] = []
-    episode_no = cfg.pretrain_episodes
-    global_step = 0
+
+    def grounded_step(state: np.ndarray, action: int) -> int:
+        grounded = grounder.ground(state, action)
+        executed, accepted = gate(action, grounded, rate)
+        audit_rows.append(
+            (
+                len(audit_rows),
+                state_hash(state),
+                action,
+                grounded.action,
+                grounded.uncertainty,
+                rate.alpha,
+                accepted,
+            )
+        )
+        return executed
 
     for iteration in range(1, cfg.iterations + 1):
         d_sim.extend(rollout(sim_factory, cfg.rollout_episodes, agent, cfg.rollout_epsilon, streams["rollout"]))
@@ -367,47 +378,11 @@ def _run_grounded_seed(
         grounder.fit(d_real, d_sim, streams["grounder_train"])
 
         rate.logged.clear()
-        for _epoch in range(cfg.epochs_per_iteration):
-            env = sim_factory()
-            state = env.reset()
-            done = False
-            total = 0.0
-            losses = []
-            while not done:
-                action = agent.act(state, agent.epsilon(), streams["act"])
-                grounded = grounder.ground(state, action)
-                executed, accepted = gate(action, grounded, rate)
-                next_state, reward, done = env.step(executed)
-                buffer.push(Transition(state, action, reward, next_state, done))
-                agent.decision_steps += 1
-                loss = agent.learn(buffer)
-                if loss is not None:
-                    losses.append(loss)
-                    if agent.learn_steps % agent.config.target_sync_period == 0:
-                        agent.sync_target()
-                audit_rows.append(
-                    (
-                        global_step,
-                        state_hash(state),
-                        action,
-                        grounded.action,
-                        grounded.uncertainty,
-                        rate.alpha,
-                        accepted,
-                    )
-                )
-                global_step += 1
-                total += reward
-                state = next_state
-            curve.append(
-                EpisodeRecord(
-                    episode=episode_no,
-                    return_=total,
-                    mean_td_loss=float(np.mean(losses)) if losses else 0.0,
-                    epsilon=agent.epsilon(),
-                )
-            )
-            episode_no += 1
+        trained = train_policy(
+            sim_factory, cfg.epochs_per_iteration, agent, buffer, streams["act"], step_hook=grounded_step
+        )
+        for r in trained.records:
+            curve.append(replace(r, episode=len(curve)))
         if cfg.algorithm == "ugat":
             update_alpha(rate)
         alpha_trace.append((iteration, rate.alpha))
@@ -434,43 +409,43 @@ def run_ugat(cfg: ExperimentConfig, grounder_factory=None, agent_factory=None) -
 # --- batteries: ablation, sweep, head comparison ----------------------------------------
 
 
-def _variant(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    from dataclasses import replace
+def _run_arm(arm: tuple[str, ExperimentConfig]) -> tuple[str, GapReport]:
+    label, cfg = arm
+    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
+    return label, runner(cfg)
 
-    return replace(cfg, **changes)
+
+def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
+    """Run labelled protocol arms in order, on up to `jobs` worker processes."""
+    if jobs <= 1 or len(arms) <= 1:
+        return [_run_arm(a) for a in arms]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_run_arm, arms))
 
 
-def run_ablation(cfg: ExperimentConfig) -> list[tuple[str, GapReport]]:
+def run_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[tuple[str, GapReport]]:
     """UGAT, fixed alpha 0.5, vanilla grounding, and no grounding; shared seeds."""
-    rows = [
-        ("ugat", run_ugat(_variant(cfg, algorithm="ugat"))),
-        (
-            "no_dynamic_alpha",
-            run_ugat(_variant(cfg, algorithm="ugat_static", static_alpha=0.5)),
-        ),
-        ("no_alpha_no_uncertainty", run_ugat(_variant(cfg, algorithm="gat", head="logits"))),
-        ("no_grounding", run_direct_transfer(_variant(cfg, algorithm="direct"))),
+    arms = [
+        ("ugat", replace(cfg, algorithm="ugat")),
+        ("no_dynamic_alpha", replace(cfg, algorithm="ugat_static", static_alpha=0.5)),
+        ("no_alpha_no_uncertainty", replace(cfg, algorithm="gat", head="logits")),
+        ("no_grounding", replace(cfg, algorithm="direct")),
     ]
-    return rows
+    return run_arms(arms, jobs)
 
 
-def sweep_static_alpha(cfg: ExperimentConfig, alphas: Sequence[float]) -> list[tuple[str, GapReport]]:
+def sweep_static_alpha(
+    cfg: ExperimentConfig, alphas: Sequence[float], jobs: int = 1
+) -> list[tuple[str, GapReport]]:
     if not alphas:
         raise ValueError("alphas must be nonempty")
-    rows = [("dynamic", run_ugat(_variant(cfg, algorithm="ugat")))]
-    for alpha in alphas:
-        rows.append(
-            (
-                f"alpha_{alpha:g}",
-                run_ugat(_variant(cfg, algorithm="ugat_static", static_alpha=float(alpha))),
-            )
-        )
-    return rows
+    arms = [("dynamic", replace(cfg, algorithm="ugat"))] + [
+        (f"alpha_{a:g}", replace(cfg, algorithm="ugat_static", static_alpha=float(a))) for a in alphas
+    ]
+    return run_arms(arms, jobs)
 
 
-def compare_uncertainty_methods(cfg: ExperimentConfig) -> list[tuple[str, GapReport]]:
-    rows = []
-    for head in ("edl", "dropout", "ensemble"):
-        rows.append((head, run_ugat(_variant(cfg, algorithm="ugat", head=head))))
-    rows.append(("gat", run_ugat(_variant(cfg, algorithm="gat", head="logits"))))
-    return rows
+def compare_uncertainty_methods(cfg: ExperimentConfig, jobs: int = 1) -> list[tuple[str, GapReport]]:
+    arms = [(h, replace(cfg, algorithm="ugat", head=h)) for h in ("edl", "dropout", "ensemble")]
+    arms.append(("gat", replace(cfg, algorithm="gat", head="logits")))
+    return run_arms(arms, jobs)

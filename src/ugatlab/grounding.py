@@ -30,12 +30,9 @@ from ugatlab.numnet import (
     mse_loss,
     softmax,
 )
+from ugatlab.sim import N_LANES, N_PHASES, STATE_DIM
 
 logger = logging.getLogger(__name__)
-
-N_ACTIONS = 8
-STATE_DIM = 20
-N_LANE_CHANNELS = 12
 
 HEAD_KINDS = ("edl", "dropout", "ensemble", "logits")
 
@@ -85,15 +82,12 @@ class GroundingConfig:
 def normalize_state(state: np.ndarray, count_scale: float) -> np.ndarray:
     """Scale lane-count channels; phase one-hot channels pass through."""
     out = np.array(state, dtype=np.float64, copy=True)
-    if out.ndim == 1:
-        out[:N_LANE_CHANNELS] /= count_scale
-    else:
-        out[:, :N_LANE_CHANNELS] /= count_scale
+    out[..., :N_LANES] /= count_scale
     return out
 
 
 def onehot_actions(actions: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(actions), N_ACTIONS))
+    out = np.zeros((len(actions), N_PHASES))
     out[np.arange(len(actions)), actions] = 1.0
     return out
 
@@ -103,14 +97,14 @@ class ForwardModel:
 
     def __init__(self, config: GroundingConfig, rng: np.random.Generator):
         self.config = config
-        spec = MlpSpec(layer_sizes=(STATE_DIM + N_ACTIONS, *config.forward_hidden, STATE_DIM))
+        spec = MlpSpec(layer_sizes=(STATE_DIM + N_PHASES, *config.forward_hidden, STATE_DIM))
         self.model = init_model(spec, rng)
         self.adam = init_adam(self.model, learning_rate=config.learning_rate)
         self.trained_epochs = 0
 
     def predict_next_norm(self, state: np.ndarray, action: int) -> np.ndarray:
         s = normalize_state(state, self.config.count_scale)
-        x = np.concatenate([s, np.eye(N_ACTIONS)[action]])
+        x = np.concatenate([s, np.eye(N_PHASES)[action]])
         out, _ = forward(self.model, x)
         return out
 
@@ -131,7 +125,7 @@ class InverseModel:
         dropout = config.dropout_rate if head == "dropout" else 0.0
         n_members = config.ensemble_size if head == "ensemble" else 1
         spec = MlpSpec(
-            layer_sizes=(2 * STATE_DIM, *config.inverse_hidden, N_ACTIONS),
+            layer_sizes=(2 * STATE_DIM, *config.inverse_hidden, N_PHASES),
             output_activation=output,
             dropout_rate=dropout,
         )
@@ -151,18 +145,12 @@ def _minibatches(n: int, batch: int, rng: np.random.Generator):
         yield order[start : start + batch]
 
 
-def _forward_dataset(transitions: Sequence[Transition], count_scale: float):
+def _dataset(transitions: Sequence[Transition], count_scale: float):
+    """Normalized (states, actions, next_states) arrays of a transition set."""
     states = normalize_state(np.stack([t.state for t in transitions]), count_scale)
-    nexts = normalize_state(np.stack([t.next_state for t in transitions]), count_scale)
     actions = np.array([t.action for t in transitions], dtype=np.intp)
-    return np.hstack([states, onehot_actions(actions)]), nexts
-
-
-def _inverse_dataset(transitions: Sequence[Transition], count_scale: float):
-    states = normalize_state(np.stack([t.state for t in transitions]), count_scale)
     nexts = normalize_state(np.stack([t.next_state for t in transitions]), count_scale)
-    actions = np.array([t.action for t in transitions], dtype=np.intp)
-    return np.hstack([nexts, states]), actions
+    return states, actions, nexts
 
 
 def train_forward(
@@ -175,7 +163,8 @@ def train_forward(
     """Minibatch Adam on MSE(f(s, a), s'); returns the per-epoch loss trace."""
     if not d_real:
         raise ValueError("empty dataset")
-    x, y = _forward_dataset(d_real, fm.config.count_scale)
+    states, actions, y = _dataset(d_real, fm.config.count_scale)
+    x = np.hstack([states, onehot_actions(actions)])
     trace = []
     for _ in range(epochs):
         losses = []
@@ -210,7 +199,8 @@ def train_inverse(
     """
     if not d_sim:
         raise ValueError("empty dataset")
-    x, targets = _inverse_dataset(d_sim, im.config.count_scale)
+    states, targets, nexts = _dataset(d_sim, im.config.count_scale)
+    x = np.hstack([nexts, states])
     use_dropout = im.head == "dropout"
     trace = []
     for _ in range(epochs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,8 @@ class DemandSchedule:
 
     def __post_init__(self):
         times = [t for t, _ in self.arrivals]
+        if not all(math.isfinite(t) and t >= 0.0 for t in times):
+            raise ValueError("arrival times must be finite and >= 0")
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("arrival times must be nondecreasing")
         if any(not 0 <= m < 12 for _, m in self.arrivals):

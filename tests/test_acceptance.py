@@ -30,6 +30,8 @@ from ugatlab.sim import (
     generate_demand,
 )
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (1, 2, 3)
 
 

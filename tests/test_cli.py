@@ -153,6 +153,38 @@ def test_gap_report_lists_incomplete_dirs(tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
+def test_gap_report_writes_the_protocol_report_schema(tiny_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["train-direct", "--config", tiny_config, "--out", str(out), "--quiet"]) == 0
+    merged = tmp_path / "merged"
+    assert main(["gap-report", str(out / "direct" / "V1"), "--out", str(merged), "--quiet"]) == 0
+    with open(out / "gap_report.csv") as fh:
+        protocol_header = fh.readline()
+    with open(merged / "gap_report.csv") as fh:
+        assert fh.readline() == protocol_header
+    rows = read_gap_csv(merged / "gap_report.csv")
+    assert {(r["label"], r["protocol"], r["scenario"]) for r in rows} == {("direct/V1", "direct", "V1")}
+
+
+def test_dqn_state_scale_from_config_file_is_echoed(tmp_path):
+    cfg = tmp_path / "scale.cfg"
+    scale = ",".join(["0.5"] * 20)
+    cfg.write_text(TINY.replace("[dqn]\n", f"[dqn]\nstate_scale = {scale}\n"))
+    out = tmp_path / "out"
+    assert main(["train-direct", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    manifest = (out / "direct" / "V1" / "seed1" / "manifest.txt").read_text()
+    assert f"state_scale = {tuple([0.5] * 20)}" in manifest
+
+
+def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text(TINY.replace("[experiment]\n", "[experiment]\nstatic_alpha = -inf\n"))
+    code = main(["train-ugat", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    assert "static_alpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parallel_jobs_smoke(tiny_config, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -226,6 +226,24 @@ def test_ablation_no_grounding_row_equals_direct_transfer():
     assert set(rows) == {"ugat", "no_dynamic_alpha", "no_alpha_no_uncertainty", "no_grounding"}
 
 
+def test_parallel_ablation_equals_serial():
+    cfg = tiny_cfg(algorithm="ugat", pretrain_episodes=1)
+    serial = run_ablation(cfg)
+    parallel = run_ablation(cfg, jobs=2)
+    assert [label for label, _ in parallel] == [label for label, _ in serial]
+    for (_, s), (_, p) in zip(serial, parallel):
+        assert seed_trace(p) == seed_trace(s)
+        assert p.stats == s.stats
+
+
+@pytest.mark.parametrize("alpha", [-math.inf, math.nan, -0.1])
+def test_static_alpha_must_be_nonnegative(alpha):
+    for algorithm in ("ugat_static", "direct"):
+        with pytest.raises(ValueError, match="static_alpha"):
+            tiny_cfg(algorithm=algorithm, static_alpha=alpha)
+    assert tiny_cfg(algorithm="ugat_static", static_alpha=math.inf).static_alpha == math.inf
+
+
 def test_alpha_trace_replays_from_audit_log():
     # dynamic alpha after iteration i equals the mean of that iteration's
     # logged uncertainties, replayed from the emitted audit rows

@@ -412,3 +412,13 @@ def test_demand_header_is_validated(tmp_path):
 def test_demand_reward_requires_positive_rate():
     with pytest.raises(ValueError):
         generate_demand(0, 100, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_demand_rejects_non_finite_or_negative_arrival_times(bad, tmp_path):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        DemandSchedule(arrivals=((0.0, 0), (bad, 1)))
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# demand-schedule schema=1\narrival_time_s,entry_approach,movement\n{bad!r},N,left\n")
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        load_demand(path)
