@@ -123,13 +123,7 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
         exp["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     if getattr(args, "head", None):
         exp["head"] = args.head
-    alpha = getattr(args, "alpha", None)
-    if algorithm != "direct" and alpha:
-        values = [float(v) for v in alpha.split(",")]
-        if len(values) == 1:
-            exp["algorithm"] = "ugat_static"
-            exp["static_alpha"] = values[0]
-    elif exp.get("static_alpha") is not None and exp["algorithm"] == "ugat":
+    if exp.get("static_alpha") is not None and algorithm == "ugat":
         exp["algorithm"] = "ugat_static"
     try:
         return ExperimentConfig(
@@ -137,12 +131,6 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ValidationFailure(str(exc)) from exc
-
-
-def _sweep_alphas(args) -> tuple[float, ...]:
-    if getattr(args, "alpha", None):
-        return tuple(float(v) for v in args.alpha.split(","))
-    return DEFAULT_ALPHAS
 
 
 def _emit(rows, out_dir: str, quiet: bool) -> None:
@@ -164,6 +152,10 @@ def cmd_train_direct(args) -> int:
 
 def cmd_train_ugat(args) -> int:
     cfg = build_experiment_config(args, "ugat")
+    if args.alpha:
+        if "," in args.alpha:
+            raise ValidationFailure(f"train-ugat --alpha takes one rate, got {args.alpha!r}")
+        cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=float(args.alpha))
     report = run_ugat(cfg)
     _emit([(cfg.protocol_label, report)], cfg.out_dir, args.quiet)
     return 0
@@ -177,7 +169,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     cfg = build_experiment_config(args, "ugat")
-    _emit(sweep_static_alpha(cfg, _sweep_alphas(args), args.jobs), cfg.out_dir, args.quiet)
+    alphas = tuple(float(v) for v in args.alpha.split(",")) if args.alpha else DEFAULT_ALPHAS
+    _emit(sweep_static_alpha(cfg, alphas, args.jobs), cfg.out_dir, args.quiet)
     return 0
 
 

@@ -137,7 +137,7 @@ class DqnAgent:
         next_q, _ = forward(self.target_model, next_states)
         targets = rewards + c.gamma * live * next_q.max(axis=1)
 
-        q_all, cache = forward(self.q_model, states, mode="train")
+        q_all, cache = forward(self.q_model, states)
         rows = np.arange(c.batch_size)
         loss, dpred = mse_loss(q_all[rows, actions], targets)
         grad_out = np.zeros_like(q_all)

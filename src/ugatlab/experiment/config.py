@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ugatlab.dqn import DqnConfig
-from ugatlab.grounding import GroundingConfig
+from ugatlab.grounding import HEAD_KINDS, GroundingConfig
 from ugatlab.sim import SCENARIOS, IntersectionLayout, SimConfig
 
 ALGORITHMS = ("direct", "gat", "ugat", "ugat_static")
-HEADS = ("edl", "dropout", "ensemble", "logits")
 
 FORMAT_VERSION = 1
 
@@ -47,8 +46,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}; pick from {sorted(SCENARIOS)}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
-        if self.head not in HEADS:
-            raise ValueError(f"unknown head {self.head!r}; pick from {HEADS}")
+        if self.head not in HEAD_KINDS:
+            raise ValueError(f"unknown head {self.head!r}; pick from {HEAD_KINDS}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         if self.algorithm == "ugat_static" and self.static_alpha is None:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from ugatlab.experiment.config import FORMAT_VERSION, ExperimentConfig
 from ugatlab.experiment.protocols import METRIC_KEYS, GapReport, SeedResult
-from ugatlab.sim import DemandSchedule, save_demand
+from ugatlab.sim import N_LANES, STATE_DIM, DemandSchedule, save_demand
 
 
 def _fmt(value) -> str:
@@ -107,9 +107,9 @@ def write_seed_run(
 
     traj_header = (
         ["env", "episode", "time"]
-        + [f"s{i}" for i in range(20)]
+        + [f"s{i}" for i in range(STATE_DIM)]
         + ["action", "grounded_action", "reward"]
-        + [f"queue{i}" for i in range(12)]
+        + [f"queue{i}" for i in range(N_LANES)]
     )
     rows = []
     for res in (result.sim_eval, result.real_eval):

@@ -424,12 +424,17 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
 
 
 def run_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[tuple[str, GapReport]]:
-    """UGAT, fixed alpha 0.5, vanilla grounding, and no grounding; shared seeds."""
+    """UGAT, fixed alpha 0.5, vanilla grounding, and no grounding; shared seeds.
+
+    Every battery starts from the dynamic ugat arm: a static rate belongs only
+    to the arms that set one, so no other arm's manifest echoes it.
+    """
+    base = replace(cfg, algorithm="ugat", static_alpha=None)
     arms = [
-        ("ugat", replace(cfg, algorithm="ugat")),
-        ("no_dynamic_alpha", replace(cfg, algorithm="ugat_static", static_alpha=0.5)),
-        ("no_alpha_no_uncertainty", replace(cfg, algorithm="gat", head="logits")),
-        ("no_grounding", replace(cfg, algorithm="direct")),
+        ("ugat", base),
+        ("no_dynamic_alpha", replace(base, algorithm="ugat_static", static_alpha=0.5)),
+        ("no_alpha_no_uncertainty", replace(base, algorithm="gat", head="logits")),
+        ("no_grounding", replace(base, algorithm="direct")),
     ]
     return run_arms(arms, jobs)
 
@@ -439,13 +444,15 @@ def sweep_static_alpha(
 ) -> list[tuple[str, GapReport]]:
     if not alphas:
         raise ValueError("alphas must be nonempty")
-    arms = [("dynamic", replace(cfg, algorithm="ugat"))] + [
-        (f"alpha_{a:g}", replace(cfg, algorithm="ugat_static", static_alpha=float(a))) for a in alphas
+    base = replace(cfg, algorithm="ugat", static_alpha=None)
+    arms = [("dynamic", base)] + [
+        (f"alpha_{a:g}", replace(base, algorithm="ugat_static", static_alpha=float(a))) for a in alphas
     ]
     return run_arms(arms, jobs)
 
 
 def compare_uncertainty_methods(cfg: ExperimentConfig, jobs: int = 1) -> list[tuple[str, GapReport]]:
-    arms = [(h, replace(cfg, algorithm="ugat", head=h)) for h in ("edl", "dropout", "ensemble")]
-    arms.append(("gat", replace(cfg, algorithm="gat", head="logits")))
+    base = replace(cfg, algorithm="ugat", static_alpha=None)
+    arms = [(h, replace(base, head=h)) for h in ("edl", "dropout", "ensemble")]
+    arms.append(("gat", replace(base, algorithm="gat", head="logits")))
     return run_arms(arms, jobs)

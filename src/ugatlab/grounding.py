@@ -147,10 +147,38 @@ def _minibatches(n: int, batch: int, rng: np.random.Generator):
 
 def _dataset(transitions: Sequence[Transition], count_scale: float):
     """Normalized (states, actions, next_states) arrays of a transition set."""
+    if not transitions:
+        raise ValueError("empty dataset")
     states = normalize_state(np.stack([t.state for t in transitions]), count_scale)
     actions = np.array([t.action for t in transitions], dtype=np.intp)
     nexts = normalize_state(np.stack([t.next_state for t in transitions]), count_scale)
     return states, actions, nexts
+
+
+def _train(owner, members, adams, x, y, loss_fn, epochs, batch, rng, dropout=False) -> list[float]:
+    """Minibatch Adam for every member on the same shuffled minibatches.
+
+    loss_fn(out, targets, lifetime_epoch) gives (loss, d loss / d out). Each
+    epoch draws the permutation first and then, with dropout, one mask seed
+    per member; returns the per-epoch mean of the member-averaged batch loss.
+    """
+    trace = []
+    for _ in range(epochs):
+        batches = list(_minibatches(len(x), batch, rng))
+        drop_rngs = [np.random.default_rng(rng.integers(2**63)) if dropout else None for _ in members]
+        losses = []
+        for idx in batches:
+            xb, yb = x[idx], y[idx]
+            batch_losses = []
+            for member, adam, drop_rng in zip(members, adams, drop_rngs):
+                out, cache = forward(member, xb, drop_rng)
+                loss, grad = loss_fn(out, yb, owner.trained_epochs)
+                adam_step(member, backward(member, cache, grad), adam)
+                batch_losses.append(loss)
+            losses.append(float(np.mean(batch_losses)))
+        trace.append(float(np.mean(losses)))
+        owner.trained_epochs += 1
+    return trace
 
 
 def train_forward(
@@ -161,25 +189,10 @@ def train_forward(
     rng: np.random.Generator,
 ) -> list[float]:
     """Minibatch Adam on MSE(f(s, a), s'); returns the per-epoch loss trace."""
-    if not d_real:
-        raise ValueError("empty dataset")
     states, actions, y = _dataset(d_real, fm.config.count_scale)
     x = np.hstack([states, onehot_actions(actions)])
-    trace = []
-    for _ in range(epochs):
-        losses = []
-        for idx in _minibatches(len(x), batch, rng):
-            out, cache = forward(fm.model, x[idx], mode="train")
-            loss, grad = mse_loss(out, y[idx])
-            adam_step(fm.model, backward(fm.model, cache, grad), fm.adam)
-            losses.append(loss)
-        trace.append(float(np.mean(losses)))
-        fm.trained_epochs += 1
-    return trace
-
-
-def default_anneal(epoch: int) -> float:
-    return min(1.0, epoch / 10.0)
+    loss_fn = lambda out, t, _: mse_loss(out, t)
+    return _train(fm, [fm.model], [fm.adam], x, y, loss_fn, epochs, batch, rng)
 
 
 def train_inverse(
@@ -188,44 +201,22 @@ def train_inverse(
     epochs: int,
     batch: int,
     rng: np.random.Generator,
-    anneal=default_anneal,
 ) -> list[float]:
     """Fit the executed action given (s', s); returns the per-epoch loss trace.
 
-    The edl head trains under the evidential objective with the annealed KL
-    (anneal is a function of the model's lifetime epoch); logit heads train
-    under plain categorical cross-entropy. Ensemble members see identically
-    ordered minibatches and differ only by their initializations.
+    The edl head trains under the evidential objective, its KL term annealed
+    by min(1, lifetime_epoch / 10); logit heads train under plain categorical
+    cross-entropy. Ensemble members see identically ordered minibatches and
+    differ only by their initializations.
     """
-    if not d_sim:
-        raise ValueError("empty dataset")
     states, targets, nexts = _dataset(d_sim, im.config.count_scale)
     x = np.hstack([nexts, states])
-    use_dropout = im.head == "dropout"
-    trace = []
-    for _ in range(epochs):
-        coeff = anneal(im.trained_epochs)
-        losses = []
-        batches = list(_minibatches(len(x), batch, rng))
-        drop_rngs = [
-            np.random.default_rng(rng.integers(2**63)) if use_dropout else None
-            for _ in im.members
-        ]
-        for idx in batches:
-            xb, tb = x[idx], targets[idx]
-            batch_losses = []
-            for member, adam, drop_rng in zip(im.members, im.adams, drop_rngs):
-                out, cache = forward(member, xb, mode="train", rng=drop_rng)
-                if im.head == "edl":
-                    loss, grad = edl_loss(out, tb, anneal=coeff)
-                else:
-                    loss, grad = cce_loss(out, tb)
-                adam_step(member, backward(member, cache, grad), adam)
-                batch_losses.append(loss)
-            losses.append(float(np.mean(batch_losses)))
-        trace.append(float(np.mean(losses)))
-        im.trained_epochs += 1
-    return trace
+    if im.head == "edl":
+        loss_fn = lambda out, t, epoch: edl_loss(out, t, anneal=min(1.0, epoch / 10.0))
+    else:
+        loss_fn = lambda out, t, _: cce_loss(out, t)
+    dropout = im.head == "dropout"
+    return _train(im, im.members, im.adams, x, targets, loss_fn, epochs, batch, rng, dropout)
 
 
 def edl_uncertainty(evidence: np.ndarray) -> tuple[float, np.ndarray]:
@@ -258,31 +249,24 @@ def head_uncertainty(
 ) -> tuple[int, float]:
     """Predicted class and uncertainty in [0, 1] per the head's rule.
 
-    edl: argmax evidence, u = K/S. dropout: M stochastic passes, mean
-    softmax, u = entropy/ln K. ensemble: same entropy rule over the members'
-    mean softmax. logits: argmax with the single softmax's entropy (the
-    vanilla arm logs it but never gates on it).
+    edl: argmax evidence, u = K/S. The softmax heads take the argmax of the
+    mean softmax over every member and pass, with u = entropy/ln K: M
+    stochastic passes of one member (dropout), one pass of each member
+    (ensemble), or one pass of one member (logits, which the vanilla arm
+    logs but never gates on).
     """
     if im.head == "edl":
         evidence, _ = forward(im.members[0], x)
         u, _beliefs = edl_uncertainty(evidence)
         return int(np.argmax(evidence)), u
+    passes = 1
     if im.head == "dropout":
         if rng is None:
             raise ValueError("dropout head needs an rng")
-        probs = []
-        for _ in range(im.config.dropout_passes):
-            out, _ = forward(im.members[0], x, stochastic_dropout=True, rng=rng)
-            probs.append(softmax(out))
-        mean_p = np.mean(probs, axis=0)
-        return int(np.argmax(mean_p)), _entropy_uncertainty(mean_p)
-    if im.head == "ensemble":
-        probs = [softmax(forward(m, x)[0]) for m in im.members]
-        mean_p = np.mean(probs, axis=0)
-        return int(np.argmax(mean_p)), _entropy_uncertainty(mean_p)
-    out, _ = forward(im.members[0], x)
-    p = softmax(out)
-    return int(np.argmax(p)), _entropy_uncertainty(p)
+        passes = im.config.dropout_passes
+    probs = [softmax(forward(m, x, rng)[0]) for m in im.members for _ in range(passes)]
+    mean_p = np.mean(probs, axis=0)
+    return int(np.argmax(mean_p)), _entropy_uncertainty(mean_p)
 
 
 def ground(

@@ -30,19 +30,19 @@ def gradcheck(
     """Compare backward() against central differences for every parameter.
 
     loss_fn maps the network output to (scalar loss, d loss / d output).
-    Dropout is excluded (infer-mode forwards) so both routes see the same
-    deterministic function.
+    Dropout is excluded (forwards without an rng) so both routes see the
+    same deterministic function.
     """
-    out, cache = forward(model, x, mode="infer")
+    out, cache = forward(model, x)
     _, dloss = loss_fn(out)
     analytic = backward(model, cache, dloss)
 
     def numeric_at(param: np.ndarray, idx) -> float:
         orig = param[idx]
         param[idx] = orig + step
-        plus, _ = loss_fn(forward(model, x, mode="infer")[0])
+        plus, _ = loss_fn(forward(model, x)[0])
         param[idx] = orig - step
-        minus, _ = loss_fn(forward(model, x, mode="infer")[0])
+        minus, _ = loss_fn(forward(model, x)[0])
         param[idx] = orig
         return (plus - minus) / (2.0 * step)
 

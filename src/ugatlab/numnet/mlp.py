@@ -118,20 +118,15 @@ def _apply_output(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def forward(
-    model: MlpModel,
-    x: np.ndarray,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-    stochastic_dropout: bool = False,
+    model: MlpModel, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a vector or a (n, d) batch.
 
-    Inverted dropout is applied to hidden activations in train mode (or when
-    stochastic_dropout forces it at inference, for MC-dropout style heads);
-    surviving units are scaled by 1/(1-p) so inference needs no rescaling.
+    Passing an rng switches inverted dropout on for the hidden activations
+    (training, and MC-dropout style heads at inference); without one, or at
+    dropout_rate 0, the pass is deterministic. Surviving units are scaled by
+    1/(1-p) so the deterministic pass needs no rescaling.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer': {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     a = x[None, :] if single else x
@@ -141,9 +136,7 @@ def forward(
             f"{model.spec.layer_sizes[0]}"
         )
     p = model.spec.dropout_rate
-    use_dropout = p > 0.0 and (mode == "train" or stochastic_dropout)
-    if use_dropout and rng is None:
-        raise ValueError("dropout requires an rng")
+    use_dropout = p > 0.0 and rng is not None
 
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []

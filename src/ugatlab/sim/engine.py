@@ -84,9 +84,6 @@ class MetricsRecord:
         return (self.att, float(self.tp), self.reward_mean, self.queue_mean, self.delay)
 
 
-METRIC_NAMES = ("ATT", "TP", "Reward", "Queue", "Delay")
-
-
 def _safe_speed(d: float, decel: float, dt: float) -> float:
     """Largest speed this tick that still allows a decel-limited stop within d."""
     if d <= 0.0:

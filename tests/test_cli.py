@@ -185,6 +185,24 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_train_ugat_rejects_an_alpha_list(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["train-ugat", "--config", tiny_config, "--out", str(out), "--alpha", "0.2,0.4", "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ugatlab: error: config:")
+    assert not out.exists()
+
+
+def test_sweep_alpha_dynamic_arm_has_no_static_alpha(tiny_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep-alpha", "--config", tiny_config, "--out", str(out), "--alpha", "0.5", "--quiet"]) == 0
+    dynamic = (out / "ugat" / "V1" / "seed1" / "manifest.txt").read_text()
+    assert "algorithm = ugat\n" in dynamic
+    assert "static_alpha = None\n" in dynamic
+    static = (out / "ugat_static_0.5" / "V1" / "seed1" / "manifest.txt").read_text()
+    assert "static_alpha = 0.5\n" in static
+
+
 def test_parallel_jobs_smoke(tiny_config, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -178,7 +178,7 @@ def test_dropout_head_matches_scalar_mean_softmax_entropy():
     rng = np.random.default_rng(99)
     probs = []
     for _ in range(10):
-        out, _ = forward(im.members[0], x, stochastic_dropout=True, rng=rng)
+        out, _ = forward(im.members[0], x, rng)
         probs.append(softmax(out))
     mean_p = np.mean(probs, axis=0)
     expected = -sum(p * math.log(p) for p in mean_p if p > 0) / math.log(8)
@@ -301,7 +301,7 @@ def synthetic_phase_coded_transitions(n, rng):
     return out
 
 
-@pytest.mark.parametrize("head", ["edl", "logits"])
+@pytest.mark.parametrize("head", ["edl", "dropout", "ensemble", "logits"])
 def test_train_inverse_reaches_99_percent_on_separable_data(head):
     rng = np.random.default_rng(23)
     data = synthetic_phase_coded_transitions(600, rng)

@@ -89,7 +89,7 @@ def test_dropout_train_mode_expectation_matches_infer():
     )
     x = np.ones((100_000, 1))
     infer, _ = forward(model, np.ones(1))
-    train, _ = forward(model, x, mode="train", rng=np.random.default_rng(11))
+    train, _ = forward(model, x, np.random.default_rng(11))
     assert abs(train.mean() - infer[0]) / abs(infer[0]) < 0.01
 
 
@@ -101,8 +101,8 @@ def test_infer_mode_dropout_is_identity_unless_forced():
     b, _ = forward(model, x)
     np.testing.assert_array_equal(a, b)
     rng = np.random.default_rng(4)
-    c, _ = forward(model, x, stochastic_dropout=True, rng=rng)
-    d, _ = forward(model, x, stochastic_dropout=True, rng=rng)
+    c, _ = forward(model, x, rng)
+    d, _ = forward(model, x, rng)
     assert not np.array_equal(c, d)
 
 
