@@ -12,8 +12,9 @@ import configparser
 import dataclasses
 import os
 import sys
+import typing
 from pathlib import Path
-from types import SimpleNamespace
+from types import SimpleNamespace, UnionType
 
 import numpy as np
 
@@ -24,11 +25,9 @@ from ugatlab.experiment import (
     compute_gap,
     io,
     run_ablation,
-    run_direct_transfer,
-    run_ugat,
     sweep_static_alpha,
 )
-from ugatlab.experiment.protocols import build_gap_report
+from ugatlab.experiment.protocols import build_gap_report, run_arms
 from ugatlab.grounding import GroundingConfig
 from ugatlab.numnet import MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
 from ugatlab.sim import SimConfig, generate_demand, save_demand
@@ -54,24 +53,21 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
-def _parse_value(raw: str, field: dataclasses.Field):
+def _parse_value(raw: str, ftype):
+    """Parse one config value as `ftype`; `X | None` parses as X, a tuple from a comma list."""
     raw = raw.strip()
-    ftype = str(field.type)
-    if "tuple[int" in ftype:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if "tuple[float" in ftype:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    if ftype.startswith("bool"):
+    if isinstance(ftype, UnionType):
+        (ftype,) = (t for t in typing.get_args(ftype) if t is not type(None))
+    if typing.get_origin(ftype) is tuple:
+        item = typing.get_args(ftype)[0]
+        return tuple(item(v) for v in raw.split(",") if v.strip())
+    if ftype is bool:
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):
             return False
         raise ValidationFailure(f"expected a boolean, got {raw!r}")
-    if ftype.startswith("int"):
-        return int(raw)
-    if "float" in ftype:  # float and float | None
-        return float(raw)
-    return raw
+    return ftype(raw)
 
 
 def load_config_file(path: str) -> dict[str, dict]:
@@ -86,16 +82,15 @@ def load_config_file(path: str) -> dict[str, dict]:
             raise ValidationFailure(
                 f"unknown section [{section}] (known: {', '.join(sorted(_SECTIONS))})"
             )
-        target = _SECTIONS[section]
-        fields = {f.name: f for f in dataclasses.fields(target)}
+        field_types = typing.get_type_hints(_SECTIONS[section])
         if section == "experiment":
-            fields = {k: v for k, v in fields.items() if k not in _EXPERIMENT_SKIP}
+            field_types = {k: v for k, v in field_types.items() if k not in _EXPERIMENT_SKIP}
         section_values = {}
         for key, raw in parser.items(section):
-            if key not in fields:
+            if key not in field_types:
                 raise ValidationFailure(f"unknown key {key!r} in section [{section}]")
             try:
-                section_values[key] = _parse_value(raw, fields[key])
+                section_values[key] = _parse_value(raw, field_types[key])
             except ValidationFailure:
                 raise
             except ValueError as exc:
@@ -145,8 +140,7 @@ def _emit(rows, out_dir: str, quiet: bool) -> None:
 
 def cmd_train_direct(args) -> int:
     cfg = build_experiment_config(args, "direct")
-    report = run_direct_transfer(cfg)
-    _emit([("direct", report)], cfg.out_dir, args.quiet)
+    _emit(run_arms([("direct", cfg)]), cfg.out_dir, args.quiet)
     return 0
 
 
@@ -156,8 +150,7 @@ def cmd_train_ugat(args) -> int:
         if "," in args.alpha:
             raise ValidationFailure(f"train-ugat --alpha takes one rate, got {args.alpha!r}")
         cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=float(args.alpha))
-    report = run_ugat(cfg)
-    _emit([(cfg.protocol_label, report)], cfg.out_dir, args.quiet)
+    _emit(run_arms([(cfg.protocol_label, cfg)]), cfg.out_dir, args.quiet)
     return 0
 
 

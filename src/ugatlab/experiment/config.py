@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.grounding import HEAD_KINDS, GroundingConfig
-from ugatlab.sim import SCENARIOS, IntersectionLayout, SimConfig
+from ugatlab.sim import N_LANES, N_PHASES, SCENARIOS, IntersectionLayout, SimConfig
 
 ALGORITHMS = ("direct", "gat", "ugat", "ugat_static")
 
@@ -14,8 +14,9 @@ FORMAT_VERSION = 1
 
 
 def _default_dqn() -> DqnConfig:
-    # lane counts scaled to lane-capacity order, phase one-hot untouched
-    return DqnConfig(state_scale=tuple([1.0 / 50.0] * 12 + [1.0] * 8))
+    # lane counts scaled as the grounding models scale them, phase one-hot untouched
+    count_scale = GroundingConfig.count_scale
+    return DqnConfig(state_scale=tuple([1.0 / count_scale] * N_LANES + [1.0] * N_PHASES))
 
 
 @dataclass(frozen=True)

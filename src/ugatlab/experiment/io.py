@@ -10,7 +10,8 @@ Layout under the output root:
         trajectory.csv       per evaluation decision step
         vehicles.csv         per completed vehicle
         metrics.csv          per evaluation episode and environment
-    demands/                 training + held-out evaluation schedules
+    demands/                 training + held-out evaluation schedules, written
+                             once per run before any protocol arm starts
     gap_report.csv           one row per (label, metric): label,protocol,scenario,
                              metric,sim_mean,sim_std,real_mean,real_std,
                              delta_mean,delta_std,seeds
@@ -81,15 +82,18 @@ def write_manifest(path: Path, cfg: ExperimentConfig, protocol: str, seed: int) 
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_seed_run(
-    cfg: ExperimentConfig,
-    protocol: str,
-    result: SeedResult,
-    train_demand: DemandSchedule,
-    eval_demands: Sequence[DemandSchedule],
-) -> Path:
-    root = Path(cfg.out_dir)
-    run = seed_dir(root, protocol, cfg.scenario, result.seed)
+def write_demands(
+    out_dir: str | Path, train_demand: DemandSchedule, eval_demands: Sequence[DemandSchedule]
+) -> None:
+    demand_dir = Path(out_dir) / "demands"
+    demand_dir.mkdir(parents=True, exist_ok=True)
+    save_demand(train_demand, demand_dir / "train.csv")
+    for i, d in enumerate(eval_demands):
+        save_demand(d, demand_dir / f"eval{i}.csv")
+
+
+def write_seed_run(cfg: ExperimentConfig, protocol: str, result: SeedResult) -> Path:
+    run = seed_dir(cfg.out_dir, protocol, cfg.scenario, result.seed)
     run.mkdir(parents=True, exist_ok=True)
     write_manifest(run / "manifest.txt", cfg, protocol, result.seed)
 
@@ -144,13 +148,6 @@ def write_seed_run(
         ("env", "episode", "att", "tp", "reward_mean", "queue_mean", "delay", "delay_seconds", "spawned"),
         metric_rows,
     )
-
-    demand_dir = root / "demands"
-    if not (demand_dir / "train.csv").exists():
-        demand_dir.mkdir(parents=True, exist_ok=True)
-        save_demand(train_demand, demand_dir / "train.csv")
-        for i, d in enumerate(eval_demands):
-            save_demand(d, demand_dir / f"eval{i}.csv")
     return run
 
 

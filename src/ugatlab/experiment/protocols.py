@@ -247,12 +247,12 @@ def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_t
     )
 
 
-def _maybe_write(cfg: ExperimentConfig, label: str, result: SeedResult, train_demand, eval_demands):
+def _maybe_write(cfg: ExperimentConfig, label: str, result: SeedResult):
     if cfg.out_dir is None:
         return
     from ugatlab.experiment import io
 
-    io.write_seed_run(cfg, label, result, train_demand, eval_demands)
+    io.write_seed_run(cfg, label, result)
 
 
 # --- direct transfer ---------------------------------------------------------------
@@ -274,7 +274,7 @@ def run_direct_transfer(cfg: ExperimentConfig) -> GapReport:
     for seed in cfg.seeds:
         agent, curve = train_direct_policy(cfg, seed, train_demand)
         result = _seed_result(cfg, seed, agent, eval_demands, curve)
-        _maybe_write(cfg, "direct", result, train_demand, eval_demands)
+        _maybe_write(cfg, "direct", result)
         per_seed.append(result)
     return build_gap_report("direct", cfg.scenario, per_seed)
 
@@ -401,7 +401,7 @@ def run_ugat(cfg: ExperimentConfig, grounder_factory=None, agent_factory=None) -
         result = _run_grounded_seed(
             cfg, seed, train_demand, eval_demands, grounder_factory, agent_factory
         )
-        _maybe_write(cfg, cfg.protocol_label, result, train_demand, eval_demands)
+        _maybe_write(cfg, cfg.protocol_label, result)
         per_seed.append(result)
     return build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)
 
@@ -416,7 +416,16 @@ def _run_arm(arm: tuple[str, ExperimentConfig]) -> tuple[str, GapReport]:
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
-    """Run labelled protocol arms in order, on up to `jobs` worker processes."""
+    """Run labelled protocol arms in order, on up to `jobs` worker processes.
+
+    The arms share one output root and one demand configuration, so the
+    shared demands/ directory is written once here, before any arm starts.
+    """
+    _, cfg = arms[0]
+    if cfg.out_dir is not None:
+        from ugatlab.experiment import io
+
+        io.write_demands(cfg.out_dir, *_demands(cfg))
     if jobs <= 1 or len(arms) <= 1:
         return [_run_arm(a) for a in arms]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

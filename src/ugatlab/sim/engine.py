@@ -20,6 +20,18 @@ Vehicles that cross the stop line while their movement is permitted traverse
 the intersection instantly and complete at the interpolated crossing time.
 A crossing while the movement is forbidden is possible only when physics
 forbids stopping; it is logged as a signal violation, never corrected.
+
+A pinned vehicle is at a fixed point: its speed is 0, its timer is re-armed
+and pos + 0.0 * tick == pos. So while a lane stays closed, the run of
+vehicles at its front that were pinned on the tick before is pinned again
+with the same state, and each tick skips it: the update starts behind it,
+with the leader stop point taken from its last vehicle. The run grows by
+each vehicle that is pinned right behind it, and is dropped when the lane
+opens or a vehicle of the lane completes. The min-gap check runs inside the
+same loop, on each surviving vehicle against the last survivor ahead; the
+gaps within the skipped run are constant, so its violations are kept and
+logged again each tick, in lane order and then pair order, as a full scan
+would log them.
 """
 
 from __future__ import annotations
@@ -120,6 +132,10 @@ class TrafficSim:
         self.phase = 0
         self.pending_phase: int | None = None
         self.lanes: list[list[Vehicle]] = [[] for _ in range(N_LANES)]
+        # per closed lane: length of the front run pinned since the last tick,
+        # and the min-gap violations between its members (constant while pinned)
+        self._settled = [0] * N_LANES
+        self._settled_gaps: list[list[float]] = [[] for _ in range(N_LANES)]
         self._backlog: list[list[tuple[float, int]]] = [[] for _ in range(N_LANES)]
         for vid, (t, movement) in enumerate(self.demand.arrivals):
             self._backlog[movement].append((t, vid))
@@ -237,28 +253,45 @@ class TrafficSim:
         p = self.params
         dt = self.config.tick
         stop_line = self.layout.lane_length
-        clearance = p.vehicle_length + p.min_gap
+        length = p.vehicle_length
+        clearance = length + p.min_gap
+        gap_floor = p.min_gap - 1e-9
         now = self.time
+        stamp = (self.tick_count + 1) * dt  # self.time once this tick is counted
         inf = math.inf
+        gap_violations = self.gap_violations
 
         for lane_idx, lane in enumerate(self.lanes):
             if not lane:
                 continue
             lane_open = lane_idx in permitted
-            leader_stop = inf  # stop point imposed by the vehicle ahead
+            settled_gaps = self._settled_gaps[lane_idx]
+            if lane_open:
+                settled = 0
+                settled_gaps.clear()
+            else:
+                settled = self._settled[lane_idx]
+                gap_violations.extend((stamp, lane_idx, gap) for gap in settled_gaps)
+            ahead_pos = lane[settled - 1].pos if settled else inf  # last survivor ahead
+            leader_stop = ahead_pos - clearance  # stop point imposed by the vehicle ahead
             completed_any = False
-            for veh in lane:
+            for i in range(settled, len(lane)):
+                veh = lane[i]
                 pos = veh.pos
                 v = veh.speed
                 stop_at = leader_stop
                 if not lane_open and stop_line < stop_at:
                     stop_at = stop_line
                 d = stop_at - pos
+                joins = False
 
                 if d <= STOP_EPS:
                     # pinned at a stop point; hold and keep the startup timer armed
                     new_v = 0.0
                     veh.startup_timer = p.startup_delay
+                    joins = i == settled and not lane_open
+                    if joins:
+                        settled += 1
                 elif v <= 0.0 and veh.startup_timer > 0.0:
                     if veh.startup_timer >= dt:
                         veh.startup_timer -= dt
@@ -294,26 +327,26 @@ class TrafficSim:
                     )
                     veh.pos = inf  # marks the vehicle for removal below
                     completed_any = True
+                    continue
+                gap = ahead_pos - length - new_pos
+                if gap < gap_floor:
+                    gap_violations.append((stamp, lane_idx, gap))
+                    if joins:
+                        settled_gaps.append(gap)
+                ahead_pos = new_pos
             if completed_any:
                 self.lanes[lane_idx] = [v for v in lane if v.pos != inf]
+                settled = 0
+                settled_gaps.clear()
+            self._settled[lane_idx] = settled
 
         self.tick_count += 1
-        self._check_tick_invariants()
-
-    def _check_tick_invariants(self) -> None:
         active = sum(len(lane) for lane in self.lanes)
         if self.spawned != active + len(self.completed):
             raise RuntimeError(
                 f"conservation broken at t={self.time}: spawned {self.spawned} != "
                 f"active {active} + completed {len(self.completed)}"
             )
-        min_gap = self.params.min_gap
-        length = self.params.vehicle_length
-        for lane_idx, lane in enumerate(self.lanes):
-            for ahead, behind in zip(lane, lane[1:]):
-                gap = ahead.pos - length - behind.pos
-                if gap < min_gap - 1e-9:
-                    self.gap_violations.append((self.time, lane_idx, gap))
 
     def state_signature(self) -> str:
         """Stable text fingerprint of the full mutable state (for replay checks)."""

@@ -187,7 +187,7 @@ def test_criterion_4_metrics_log_replay_oracle(tmp_path):
     train_demand, eval_demands = _demands(cfg)
     agent, curve = train_direct_policy(cfg, 1, train_demand)
     result = _seed_result(cfg, 1, agent, eval_demands, curve)
-    run_dir = io.write_seed_run(cfg, "direct", result, train_demand, eval_demands)
+    run_dir = io.write_seed_run(cfg, "direct", result)
 
     free_flow = cfg.layout.lane_length / SCENARIOS["Default"].max_speed
     worst = 0.0

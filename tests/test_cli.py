@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from ugatlab.cli import main
+from ugatlab.cli import ValidationFailure, _parse_value, load_config_file, main
 from ugatlab.sim import load_demand
 
 TINY = """
@@ -54,6 +54,43 @@ def test_unknown_key_is_named_in_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "alhpa" in err
     assert err.startswith("ugatlab: error:")
+
+
+def typed(value):
+    items = value if isinstance(value, tuple) else (value,)
+    return value, [type(v) for v in items]
+
+
+def test_config_values_parse_as_their_field_types(tmp_path):
+    path = tmp_path / "types.cfg"
+    path.write_text(
+        "[experiment]\nscenario = V2\nstatic_alpha = 0.5\nseeds = 4, 5\n"
+        "rollout_epsilon = 1\niterations = 3\n"
+        "[dqn]\nstate_scale = 0.5,1\n"
+        "[grounding]\nforward_hidden = 8,8\n"
+        "[sim]\ntick = 2\n"
+    )
+    parsed = load_config_file(str(path))
+    expected = {
+        "experiment": {
+            "scenario": "V2",  # str
+            "static_alpha": 0.5,  # float | None
+            "seeds": (4, 5),  # tuple[int, ...]
+            "rollout_epsilon": 1.0,  # float
+            "iterations": 3,  # int
+        },
+        "dqn": {"state_scale": (0.5, 1.0)},  # tuple[float, ...] | None
+        "grounding": {"forward_hidden": (8, 8)},
+        "sim": {"tick": 2.0},
+    }
+    assert parsed == expected
+    for section, values in expected.items():
+        for key, value in values.items():
+            assert typed(parsed[section][key]) == typed(value), (section, key)
+    # no section has a bool field today; the parser still reads one strictly
+    assert _parse_value(" yes ", bool) is True and _parse_value("0", bool) is False
+    with pytest.raises(ValidationFailure):
+        _parse_value("maybe", bool)
 
 
 def test_missing_config_file_fails_validation(tmp_path, capsys):

@@ -13,9 +13,10 @@ from ugatlab.experiment import (
     run_direct_transfer,
     run_ugat,
 )
+from ugatlab.experiment import protocols
 from ugatlab.experiment.protocols import _run_grounded_seed, _demands
 from ugatlab.grounding import GroundingConfig, UncertainAction
-from ugatlab.sim import MetricsRecord, SimConfig
+from ugatlab.sim import N_LANES, N_PHASES, MetricsRecord, SimConfig
 
 
 def tiny_cfg(**kw):
@@ -39,6 +40,11 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def test_default_state_scale_divides_lane_counts_by_the_count_scale():
+    scale = ExperimentConfig().dqn.state_scale
+    assert scale == (1.0 / GroundingConfig().count_scale,) * N_LANES + (1.0,) * N_PHASES
 
 
 def rec(att=0.0, tp=0, reward=0.0, queue=0.0, delay=0.0):
@@ -226,14 +232,34 @@ def test_ablation_no_grounding_row_equals_direct_transfer():
     assert set(rows) == {"ugat", "no_dynamic_alpha", "no_alpha_no_uncertainty", "no_grounding"}
 
 
-def test_parallel_ablation_equals_serial():
+def run_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_parallel_ablation_equals_serial(tmp_path):
     cfg = tiny_cfg(algorithm="ugat", pretrain_episodes=1)
-    serial = run_ablation(cfg)
-    parallel = run_ablation(cfg, jobs=2)
+    serial = run_ablation(replace(cfg, out_dir=str(tmp_path / "serial")))
+    parallel = run_ablation(replace(cfg, out_dir=str(tmp_path / "parallel")), jobs=2)
     assert [label for label, _ in parallel] == [label for label, _ in serial]
     for (_, s), (_, p) in zip(serial, parallel):
         assert seed_trace(p) == seed_trace(s)
         assert p.stats == s.stats
+    serial_tree = run_tree(tmp_path / "serial")
+    assert {"demands/train.csv", "demands/eval0.csv"} <= set(serial_tree)
+    assert run_tree(tmp_path / "parallel") == serial_tree
+
+
+def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monkeypatch):
+    cfg = tiny_cfg(algorithm="direct", out_dir=str(tmp_path))
+    seen = []
+
+    def fake_arm(arm):
+        seen.append(sorted(p.name for p in (tmp_path / "demands").glob("*")))
+        return arm[0], None
+
+    monkeypatch.setattr(protocols, "_run_arm", fake_arm)
+    protocols.run_arms([("a", cfg), ("b", cfg)])
+    assert seen == [["eval0.csv", "train.csv"]] * 2
 
 
 @pytest.mark.parametrize("alpha", [-math.inf, math.nan, -0.1])
