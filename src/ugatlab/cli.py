@@ -14,19 +14,21 @@ import os
 import sys
 import typing
 from pathlib import Path
-from types import SimpleNamespace, UnionType
+from types import UnionType
 
 import numpy as np
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.experiment import (
+    EvalResult,
     ExperimentConfig,
+    SeedResult,
     compare_uncertainty_methods,
-    compute_gap,
     io,
     run_ablation,
     sweep_static_alpha,
 )
+from ugatlab.experiment.config import NON_EXPERIMENT_KEYS, _default_dqn
 from ugatlab.experiment.protocols import build_gap_report, run_arms
 from ugatlab.grounding import GroundingConfig
 from ugatlab.numnet import MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
@@ -40,8 +42,8 @@ _SECTIONS = {
     "grounding": GroundingConfig,
     "sim": SimConfig,
 }
-# algorithm is owned by the subcommand; nested configs have their own sections
-_EXPERIMENT_SKIP = {"dqn", "grounding", "sim", "layout", "out_dir", "algorithm"}
+# algorithm is owned by the subcommand
+_EXPERIMENT_SKIP = {*NON_EXPERIMENT_KEYS, "algorithm"}
 
 
 class ValidationFailure(Exception):
@@ -107,8 +109,8 @@ def resolve_out_dir(args) -> str:
 
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     overrides = load_config_file(args.config) if args.config else {}
-    dqn = dataclasses.replace(ExperimentConfig().dqn, **overrides.get("dqn", {}))
     grounding = GroundingConfig(**overrides.get("grounding", {}))
+    dqn = dataclasses.replace(_default_dqn(grounding.count_scale), **overrides.get("dqn", {}))
     sim = SimConfig(**overrides.get("sim", {}))
     exp = dict(overrides.get("experiment", {}))
     exp["algorithm"] = algorithm
@@ -183,13 +185,12 @@ def cmd_gap_report(args) -> int:
         for sd in sorted(base.glob("seed*")):
             seed = sd.name.removeprefix("seed")
             metrics = sd / "metrics.csv"
-            if not (seed.isdigit() and metrics.exists()):
+            episodes = io.read_metrics_csv(metrics) if seed.isdigit() and metrics.exists() else {}
+            if not {"sim", "real"} <= episodes.keys():
                 incomplete.append(str(sd))
                 continue
-            raw = io.read_metrics_csv(metrics)
-            sim = io.seed_mean_metrics(raw, "sim")
-            real = io.seed_mean_metrics(raw, "real")
-            per_seed.append(SimpleNamespace(seed=int(seed), sim=sim, real=real, delta=compute_gap(real, sim)))
+            sim, real = (EvalResult(episodes[env]) for env in ("sim", "real"))
+            per_seed.append(SeedResult(int(seed), sim, real))
         if not per_seed:
             incomplete.append(str(base))
             continue

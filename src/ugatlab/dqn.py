@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,15 +165,6 @@ class EpisodeRecord:
     epsilon: float
 
 
-@dataclass
-class TrainResult:
-    records: list[EpisodeRecord] = field(default_factory=list)
-
-    @property
-    def returns(self) -> list[float]:
-        return [r.return_ for r in self.records]
-
-
 def train_policy(
     env_factory,
     episodes: int,
@@ -181,7 +172,7 @@ def train_policy(
     buffer: ReplayBuffer,
     act_rng: np.random.Generator,
     step_hook=None,
-) -> TrainResult:
+) -> list[EpisodeRecord]:
     """Standard DQN training loop over full episodes.
 
     env_factory() yields a fresh episode with reset()/step(); one learn step
@@ -190,7 +181,7 @@ def train_policy(
     may transform the action before execution: hook(state, action) ->
     executed action (the replay still stores the policy's action).
     """
-    result = TrainResult()
+    records = []
     for ep in range(episodes):
         env = env_factory()
         state = env.reset()
@@ -211,7 +202,7 @@ def train_policy(
                     agent.sync_target()
             total += reward
             state = next_state
-        result.records.append(
+        records.append(
             EpisodeRecord(
                 episode=ep,
                 return_=total,
@@ -219,7 +210,7 @@ def train_policy(
                 epsilon=agent.epsilon(),
             )
         )
-    return result
+    return records
 
 
 class FixedCycleController:

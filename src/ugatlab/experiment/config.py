@@ -12,10 +12,14 @@ ALGORITHMS = ("direct", "gat", "ugat", "ugat_static")
 
 FORMAT_VERSION = 1
 
+NESTED_SECTIONS = ("dqn", "grounding", "sim", "layout")
+# ExperimentConfig fields that are no [experiment] key: the nested configs have
+# their own sections, and out_dir is where a run is written, not what it runs
+NON_EXPERIMENT_KEYS = (*NESTED_SECTIONS, "out_dir")
 
-def _default_dqn() -> DqnConfig:
+
+def _default_dqn(count_scale: float = GroundingConfig.count_scale) -> DqnConfig:
     # lane counts scaled as the grounding models scale them, phase one-hot untouched
-    count_scale = GroundingConfig.count_scale
     return DqnConfig(state_scale=tuple([1.0 / count_scale] * N_LANES + [1.0] * N_PHASES))
 
 

@@ -9,7 +9,8 @@ Layout under the output root:
         alpha_trace.csv      iteration,alpha
         trajectory.csv       per evaluation decision step
         vehicles.csv         per completed vehicle
-        metrics.csv          per evaluation episode and environment
+        metrics.csv          per evaluation episode and environment: env,episode,
+                             then the MetricsRecord fields in order
     demands/                 training + held-out evaluation schedules, written
                              once per run before any protocol arm starts
     gap_report.csv           one row per (label, metric): label,protocol,scenario,
@@ -17,10 +18,13 @@ Layout under the output root:
                              delta_mean,delta_std,seeds
     summary.txt              side-by-side table of real(gap) +/- std
 
-Every command writes gap_report.csv in this one schema; gap-report labels
-its rows <protocol>/<scenario>. compare-uncertainty runs its edl, dropout and
-ensemble arms under the same ugat/<scenario>/seed<k>/ directory, so only the
-last head's per-seed files survive there.
+Every command writes gap_report.csv in this one schema: the MetricStats
+fields sit between metric and seeds. gap-report reads each metrics.csv back
+into MetricsRecords and aggregates them as the protocols do, so on a
+protocol's run directory it reproduces that protocol's rows exactly except
+the label, which it sets to <protocol>/<scenario>. compare-uncertainty runs
+its edl, dropout and ensemble arms under the same ugat/<scenario>/seed<k>/
+directory, so only the last head's per-seed files survive there.
 """
 
 from __future__ import annotations
@@ -28,11 +32,18 @@ from __future__ import annotations
 import csv
 import dataclasses
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
-from ugatlab.experiment.config import FORMAT_VERSION, ExperimentConfig
-from ugatlab.experiment.protocols import METRIC_KEYS, GapReport, SeedResult
-from ugatlab.sim import N_LANES, STATE_DIM, DemandSchedule, save_demand
+from ugatlab.experiment.config import (
+    FORMAT_VERSION,
+    NESTED_SECTIONS,
+    NON_EXPERIMENT_KEYS,
+    ExperimentConfig,
+)
+from ugatlab.experiment.protocols import METRIC_KEYS, GapReport, MetricStats, SeedResult
+from ugatlab.sim import N_LANES, STATE_DIM, DemandSchedule, MetricsRecord, save_demand
+
+_RECORD_TYPES = get_type_hints(MetricsRecord)  # field -> type, to read metrics.csv back
 
 
 def _fmt(value) -> str:
@@ -64,18 +75,12 @@ def write_manifest(path: Path, cfg: ExperimentConfig, protocol: str, seed: int) 
         f"scenario = {cfg.scenario}",
         f"seed = {seed}",
     ]
-    for section, obj in (
-        ("experiment", cfg),
-        ("dqn", cfg.dqn),
-        ("grounding", cfg.grounding),
-        ("sim", cfg.sim),
-        ("layout", cfg.layout),
-    ):
+    for section, obj in [("experiment", cfg), *((s, getattr(cfg, s)) for s in NESTED_SECTIONS)]:
         lines.append(f"[{section}]")
         for f in dataclasses.fields(obj):
             # nested configs get their own sections; out_dir is where the
             # manifest lives and would break byte-identical relocated runs
-            if f.name in ("dqn", "grounding", "sim", "layout", "out_dir"):
+            if f.name in NON_EXPERIMENT_KEYS:
                 continue
             lines.append(f"{f.name} = {getattr(obj, f.name)}")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,67 +132,31 @@ def write_seed_run(cfg: ExperimentConfig, protocol: str, result: SeedResult) -> 
         [*result.sim_eval.vehicle_rows, *result.real_eval.vehicle_rows],
     )
 
-    metric_rows = []
-    for env_tag, res in (("sim", result.sim_eval), ("real", result.real_eval)):
-        for ep, rec in enumerate(res.episodes):
-            metric_rows.append(
-                (
-                    env_tag,
-                    ep,
-                    rec.att,
-                    rec.tp,
-                    rec.reward_mean,
-                    rec.queue_mean,
-                    rec.delay,
-                    rec.delay_seconds,
-                    rec.spawned,
-                )
-            )
     _write_csv(
         run / "metrics.csv",
-        ("env", "episode", "att", "tp", "reward_mean", "queue_mean", "delay", "delay_seconds", "spawned"),
-        metric_rows,
+        ("env", "episode", *(f.name for f in dataclasses.fields(MetricsRecord))),
+        [
+            (env_tag, ep, *dataclasses.astuple(rec))
+            for env_tag, res in (("sim", result.sim_eval), ("real", result.real_eval))
+            for ep, rec in enumerate(res.episodes)
+        ],
     )
     return run
 
 
 def write_gap_reports(out_dir: str | Path, rows: Sequence[tuple[str, GapReport]]) -> Path:
     path = Path(out_dir) / "gap_report.csv"
-    csv_rows = []
-    for label, report in rows:
-        for metric in METRIC_KEYS:
-            s = report.stats[metric]
-            csv_rows.append(
-                (
-                    label,
-                    report.protocol,
-                    report.scenario,
-                    metric,
-                    s.sim_mean,
-                    s.sim_std,
-                    s.real_mean,
-                    s.real_std,
-                    s.delta_mean,
-                    s.delta_std,
-                    len(report.seeds),
-                )
-            )
+    stats = (f.name for f in dataclasses.fields(MetricStats))
     _write_csv(
         path,
-        (
-            "label",
-            "protocol",
-            "scenario",
-            "metric",
-            "sim_mean",
-            "sim_std",
-            "real_mean",
-            "real_std",
-            "delta_mean",
-            "delta_std",
-            "seeds",
-        ),
-        csv_rows,
+        ("label", "protocol", "scenario", "metric", *stats, "seeds"),
+        [
+            (label, report.protocol, report.scenario, metric)
+            + dataclasses.astuple(report.stats[metric])
+            + (len(report.seeds),)
+            for label, report in rows
+            for metric in METRIC_KEYS
+        ],
     )
     return path
 
@@ -208,17 +177,11 @@ def write_summary(out_dir: str | Path, rows: Sequence[tuple[str, GapReport]]) ->
     return path
 
 
-def read_metrics_csv(path: str | Path) -> list[dict]:
+def read_metrics_csv(path: str | Path) -> dict[str, list[MetricsRecord]]:
+    """A metrics.csv read back into its MetricsRecords, one list per env in file order."""
+    episodes: dict[str, list[MetricsRecord]] = {}
     with Path(path).open() as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
-
-
-def seed_mean_metrics(metrics_rows: list[dict], env: str) -> dict[str, float]:
-    """Per-metric mean over one run's evaluation episodes for one environment."""
-    wanted = [r for r in metrics_rows if r["env"] == env]
-    if not wanted:
-        raise ValueError(f"no rows for env {env!r}")
-    cols = {"ATT": "att", "TP": "tp", "Reward": "reward_mean", "Queue": "queue_mean", "Delay": "delay"}
-    return {
-        metric: sum(float(r[col]) for r in wanted) / len(wanted) for metric, col in cols.items()
-    }
+        for row in csv.DictReader(fh):
+            record = MetricsRecord(**{f: ftype(row[f]) for f, ftype in _RECORD_TYPES.items()})
+            episodes.setdefault(row["env"], []).append(record)
+    return episodes

@@ -33,7 +33,9 @@ from ugatlab.sim import (
     generate_demand,
 )
 
-METRIC_KEYS = ("ATT", "TP", "Reward", "Queue", "Delay")
+# report key -> MetricsRecord field; the field names are the metrics.csv columns
+METRIC_FIELDS = {"ATT": "att", "TP": "tp", "Reward": "reward_mean", "Queue": "queue_mean", "Delay": "delay"}
+METRIC_KEYS = tuple(METRIC_FIELDS)
 
 _STREAM_NAMES = ("agent_init", "act", "replay", "rollout", "grounder_init", "grounder_train", "head")
 
@@ -50,8 +52,7 @@ def state_hash(state: np.ndarray) -> str:
 
 def metric_values(record) -> dict[str, float]:
     if isinstance(record, MetricsRecord):
-        att, tp, reward, queue, delay = record.as_tuple()
-        return {"ATT": att, "TP": tp, "Reward": reward, "Queue": queue, "Delay": delay}
+        return {k: float(getattr(record, f)) for k, f in METRIC_FIELDS.items()}
     return {k: float(record[k]) for k in METRIC_KEYS}
 
 
@@ -73,10 +74,13 @@ class EvalResult:
     """
 
     episodes: list[MetricsRecord]
-    mean: dict[str, float]
-    std: dict[str, float]
     trajectory_rows: list[tuple] = field(default_factory=list)
     vehicle_rows: list[tuple] = field(default_factory=list)
+    mean: dict[str, float] = field(init=False)
+    std: dict[str, float] = field(init=False)
+
+    def __post_init__(self):
+        self.mean, self.std = aggregate_metrics(self.episodes)
 
 
 def aggregate_metrics(records: Sequence[MetricsRecord]) -> tuple[dict[str, float], dict[str, float]]:
@@ -116,14 +120,7 @@ def evaluate(
             (env_tag, ep, c.vid, c.movement, c.spawn_time, c.completion_time)
             for c in env.completed
         )
-    mean, std = aggregate_metrics(records)
-    return EvalResult(
-        episodes=records,
-        mean=mean,
-        std=std,
-        trajectory_rows=traj_rows,
-        vehicle_rows=veh_rows,
-    )
+    return EvalResult(episodes=records, trajectory_rows=traj_rows, vehicle_rows=veh_rows)
 
 
 # --- report types --------------------------------------------------------------
@@ -131,15 +128,21 @@ def evaluate(
 
 @dataclass
 class SeedResult:
+    """One seed in both twins: per-metric episode means and their gap, real - sim."""
+
     seed: int
-    sim: dict[str, float]
-    real: dict[str, float]
-    delta: dict[str, float]
     sim_eval: EvalResult
     real_eval: EvalResult
-    training_curve: list[EpisodeRecord]
+    training_curve: list[EpisodeRecord] = field(default_factory=list)
     audit_rows: list[tuple] = field(default_factory=list)
     alpha_trace: list[tuple[int, float]] = field(default_factory=list)
+    sim: dict[str, float] = field(init=False)
+    real: dict[str, float] = field(init=False)
+    delta: dict[str, float] = field(init=False)
+
+    def __post_init__(self):
+        self.sim, self.real = self.sim_eval.mean, self.real_eval.mean
+        self.delta = compute_gap(self.real, self.sim)
 
 
 @dataclass(frozen=True)
@@ -166,11 +169,7 @@ def _sample_std(values: np.ndarray) -> float:
 
 
 def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -> GapReport:
-    """Per-metric mean and sample std over seeds.
-
-    per_seed items need only .seed and the per-metric dicts .sim, .real and
-    .delta, so per-seed means read back from metrics.csv files work too.
-    """
+    """Per-metric mean and sample std over seeds."""
     stats = {}
     for k in METRIC_KEYS:
         sim = np.array([r.sim[k] for r in per_seed])
@@ -234,17 +233,7 @@ def rollout(
 def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_trace=None) -> SeedResult:
     sim_eval = evaluate(agent, "Default", eval_demands, cfg.layout, cfg.sim, env_tag="sim")
     real_eval = evaluate(agent, cfg.scenario, eval_demands, cfg.layout, cfg.sim, env_tag="real")
-    return SeedResult(
-        seed=seed,
-        sim=sim_eval.mean,
-        real=real_eval.mean,
-        delta=compute_gap(real_eval.mean, sim_eval.mean),
-        sim_eval=sim_eval,
-        real_eval=real_eval,
-        training_curve=curve,
-        audit_rows=audit_rows or [],
-        alpha_trace=alpha_trace or [],
-    )
+    return SeedResult(seed, sim_eval, real_eval, curve, audit_rows or [], alpha_trace or [])
 
 
 def _maybe_write(cfg: ExperimentConfig, label: str, result: SeedResult):
@@ -264,8 +253,7 @@ def train_direct_policy(cfg: ExperimentConfig, seed: int, train_demand: DemandSc
     agent = DqnAgent(cfg.dqn, streams["agent_init"])
     buffer = ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"])
     factory = _env_factory(cfg, "Default", train_demand, cfg.training_sim)
-    result = train_policy(factory, cfg.direct_episodes, agent, buffer, streams["act"])
-    return agent, result.records
+    return agent, train_policy(factory, cfg.direct_episodes, agent, buffer, streams["act"])
 
 
 def run_direct_transfer(cfg: ExperimentConfig) -> GapReport:
@@ -341,9 +329,7 @@ def _run_grounded_seed(
     sim_factory = _env_factory(cfg, "Default", train_demand, cfg.training_sim)
     real_factory = _env_factory(cfg, cfg.scenario, train_demand, cfg.training_sim)
 
-    curve = list(
-        train_policy(sim_factory, cfg.pretrain_episodes, agent, buffer, streams["act"]).records
-    )
+    curve = train_policy(sim_factory, cfg.pretrain_episodes, agent, buffer, streams["act"])
 
     grounder = (
         grounder_factory(cfg, streams["grounder_init"], streams["head"])
@@ -381,7 +367,7 @@ def _run_grounded_seed(
         trained = train_policy(
             sim_factory, cfg.epochs_per_iteration, agent, buffer, streams["act"], step_hook=grounded_step
         )
-        for r in trained.records:
+        for r in trained:
             curve.append(replace(r, episode=len(curve)))
         if cfg.algorithm == "ugat":
             update_alpha(rate)

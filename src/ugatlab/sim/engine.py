@@ -92,9 +92,6 @@ class MetricsRecord:
     delay_seconds: float  # mean raw delay, s
     spawned: int  # vehicles that entered the network
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.att, float(self.tp), self.reward_mean, self.queue_mean, self.delay)
-
 
 def _safe_speed(d: float, decel: float, dt: float) -> float:
     """Largest speed this tick that still allows a decel-limited stop within d."""

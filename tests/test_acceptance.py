@@ -473,7 +473,7 @@ def test_criterion_9_dqn_beats_fixed_cycle():
         agent = DqnAgent(cfg.dqn, streams["agent_init"])
         buffer = ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"])
         result = train_policy(env_factory, 100, agent, buffer, streams["act"])
-        final10 = float(np.mean([r.return_ for r in result.records[-10:]]))
+        final10 = float(np.mean([r.return_ for r in result[-10:]]))
         wins.append((final10, final10 > cycle_return))
     passed = all(ok for _, ok in wins)
     verdict(

@@ -2,8 +2,15 @@ import csv
 
 import pytest
 
-from ugatlab.cli import ValidationFailure, _parse_value, load_config_file, main
-from ugatlab.sim import load_demand
+from ugatlab.cli import (
+    ValidationFailure,
+    _parse_value,
+    build_experiment_config,
+    load_config_file,
+    main,
+    make_parser,
+)
+from ugatlab.sim import N_LANES, N_PHASES, load_demand
 
 TINY = """
 [experiment]
@@ -211,6 +218,59 @@ def test_dqn_state_scale_from_config_file_is_echoed(tmp_path):
     assert main(["train-direct", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     manifest = (out / "direct" / "V1" / "seed1" / "manifest.txt").read_text()
     assert f"state_scale = {tuple([0.5] * 20)}" in manifest
+
+
+def resolved_config(tmp_path, text):
+    path = tmp_path / "resolve.cfg"
+    path.write_text(text)
+    args = make_parser().parse_args(["train-direct", "--config", str(path)])
+    return build_experiment_config(args, "direct")
+
+
+def test_grounding_count_scale_sets_the_default_dqn_state_scale(tmp_path):
+    cfg = resolved_config(tmp_path, "[grounding]\ncount_scale = 25\n")
+    assert cfg.grounding.count_scale == 25.0
+    assert cfg.dqn.state_scale == (1.0 / 25.0,) * N_LANES + (1.0,) * N_PHASES
+    explicit = ",".join(["0.5"] * 20)
+    cfg = resolved_config(
+        tmp_path, f"[grounding]\ncount_scale = 25\n[dqn]\nstate_scale = {explicit}\n"
+    )
+    assert cfg.dqn.state_scale == (0.5,) * 20
+
+
+# nine evaluation episodes per seed: numpy sums eight or more values pairwise,
+# so a mean taken by sequential addition differs in the last digits
+GAP_REPORT_CHECK = """
+[experiment]
+scenario = V4
+seeds = 1,2
+steps_per_episode = 3
+eval_episodes = 9
+direct_episodes = 2
+demand_vph = 2600
+demand_seed = 3
+
+[dqn]
+batch_size = 4
+replay_capacity = 64
+
+[sim]
+episode_length = 600.0
+"""
+
+
+def test_gap_report_reproduces_the_protocol_rows(tmp_path):
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(GAP_REPORT_CHECK)
+    out = tmp_path / "out"
+    assert main(["train-direct", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    merged = tmp_path / "merged"
+    assert main(["gap-report", str(out / "direct" / "V4"), "--out", str(merged), "--quiet"]) == 0
+    protocol_rows = read_gap_csv(out / "gap_report.csv")
+    merged_rows = read_gap_csv(merged / "gap_report.csv")
+    assert {r.pop("label") for r in protocol_rows} == {"direct"}
+    assert {r.pop("label") for r in merged_rows} == {"direct/V4"}
+    assert merged_rows == protocol_rows
 
 
 def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):

@@ -227,7 +227,7 @@ def test_zero_episodes_leave_model_unchanged():
     before = [w.copy() for w in agent.q_model.weights]
     buf = ReplayBuffer(capacity=8, rng=np.random.default_rng(0))
     result = train_policy(ChainEnv, 0, agent, buf, np.random.default_rng(1))
-    assert result.records == []
+    assert result == []
     for w, b in zip(agent.q_model.weights, before):
         np.testing.assert_array_equal(w, b)
 
@@ -238,7 +238,7 @@ def test_seeded_training_replays_identically():
         agent = make_agent(n_actions=8, batch_size=4, seed=21)
         buf = ReplayBuffer(capacity=32, rng=np.random.default_rng(22))
         result = train_policy(ChainEnv, 5, agent, buf, np.random.default_rng(23))
-        traces.append([(r.return_, r.mean_td_loss, r.epsilon) for r in result.records])
+        traces.append([(r.return_, r.mean_td_loss, r.epsilon) for r in result])
     assert traces[0] == traces[1]
 
 

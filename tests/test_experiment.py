@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from ugatlab.experiment import (
     run_direct_transfer,
     run_ugat,
 )
-from ugatlab.experiment import protocols
+from ugatlab.experiment import io, protocols
 from ugatlab.experiment.protocols import _run_grounded_seed, _demands
 from ugatlab.grounding import GroundingConfig, UncertainAction
 from ugatlab.sim import N_LANES, N_PHASES, MetricsRecord, SimConfig
@@ -260,6 +260,26 @@ def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monk
     monkeypatch.setattr(protocols, "_run_arm", fake_arm)
     protocols.run_arms([("a", cfg), ("b", cfg)])
     assert seen == [["eval0.csv", "train.csv"]] * 2
+
+
+def test_metrics_csv_reads_back_into_the_evaluated_records(tmp_path):
+    cfg = tiny_cfg(
+        algorithm="direct",
+        seeds=(1, 2),
+        eval_episodes=3,
+        demand_vph=2600.0,
+        sim=SimConfig(episode_length=120.0),
+        out_dir=str(tmp_path),
+    )
+    report = run_direct_transfer(cfg)
+    for sr in report.per_seed:
+        read = io.read_metrics_csv(io.seed_dir(tmp_path, "direct", "V1", sr.seed) / "metrics.csv")
+        assert list(read) == ["sim", "real"]
+        for env, evaluated in (("sim", sr.sim_eval), ("real", sr.real_eval)):
+            assert read[env] == evaluated.episodes
+            for got, want in zip(read[env], evaluated.episodes):
+                assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
+    assert any(r.tp > 0 and r.att % 1.0 != 0.0 for r in read["real"])
 
 
 @pytest.mark.parametrize("alpha", [-math.inf, math.nan, -0.1])
