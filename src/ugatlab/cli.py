@@ -28,7 +28,7 @@ from ugatlab.experiment import (
     run_ablation,
     sweep_static_alpha,
 )
-from ugatlab.experiment.config import NON_EXPERIMENT_KEYS, _default_dqn
+from ugatlab.experiment.config import NON_EXPERIMENT_KEYS
 from ugatlab.experiment.protocols import build_gap_report, run_arms
 from ugatlab.grounding import GroundingConfig
 from ugatlab.numnet import MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
@@ -110,7 +110,7 @@ def resolve_out_dir(args) -> str:
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     overrides = load_config_file(args.config) if args.config else {}
     grounding = GroundingConfig(**overrides.get("grounding", {}))
-    dqn = dataclasses.replace(_default_dqn(grounding.count_scale), **overrides.get("dqn", {}))
+    dqn = DqnConfig(**overrides.get("dqn", {}))
     sim = SimConfig(**overrides.get("sim", {}))
     exp = dict(overrides.get("experiment", {}))
     exp["algorithm"] = algorithm

@@ -151,10 +151,7 @@ class DqnAgent:
         """Copy online parameters into the target network bit-exactly."""
         if self.target_model.spec != self.q_model.spec:
             raise ShapeError("target/online spec mismatch")
-        for dst, src in zip(self.target_model.weights, self.q_model.weights):
-            dst[:] = src
-        for dst, src in zip(self.target_model.biases, self.q_model.biases):
-            dst[:] = src
+        self.target_model.params[:] = self.q_model.params
 
 
 @dataclass

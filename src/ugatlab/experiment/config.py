@@ -18,11 +18,6 @@ NESTED_SECTIONS = ("dqn", "grounding", "sim", "layout")
 NON_EXPERIMENT_KEYS = (*NESTED_SECTIONS, "out_dir")
 
 
-def _default_dqn(count_scale: float = GroundingConfig.count_scale) -> DqnConfig:
-    # lane counts scaled as the grounding models scale them, phase one-hot untouched
-    return DqnConfig(state_scale=tuple([1.0 / count_scale] * N_LANES + [1.0] * N_PHASES))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str = "V1"  # which variant plays the stand-in for reality
@@ -40,7 +35,7 @@ class ExperimentConfig:
     direct_episodes: int = 300  # training budget of the direct-transfer baseline
     demand_vph: float = 2600.0  # binding demand; lighter loads mask the dynamics gap
     demand_seed: int = 7
-    dqn: DqnConfig = field(default_factory=_default_dqn)
+    dqn: DqnConfig = field(default_factory=DqnConfig)
     grounding: GroundingConfig = field(default_factory=GroundingConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     layout: IntersectionLayout = field(default_factory=IntersectionLayout)
@@ -64,6 +59,12 @@ class ExperimentConfig:
                 raise ValueError("grounding algorithms need iterations >= 1 and epochs >= 1")
         if self.steps_per_episode < 1 or self.eval_episodes < 1 or self.rollout_episodes < 1:
             raise ValueError("episode/rollout counts must be >= 1")
+        if self.dqn.state_scale is None:
+            # lane counts scaled as the grounding models scale them, phase one-hot
+            # untouched; the derived scale is then explicit, so
+            # replace(cfg, grounding=...) keeps it
+            scale = (1.0 / self.grounding.count_scale,) * N_LANES + (1.0,) * N_PHASES
+            object.__setattr__(self, "dqn", replace(self.dqn, state_scale=scale))
 
     @property
     def training_sim(self) -> SimConfig:

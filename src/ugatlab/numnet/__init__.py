@@ -1,7 +1,9 @@
 """Minimal dense numeric kernel: MLPs with exact backprop, losses, Adam.
 
 Matrices are 2-D float64 numpy arrays in C (row-major) order, vectors are
-1-D float64 arrays; batched calls stack samples along the first axis.
+1-D float64 arrays; batched calls stack samples along the first axis. An
+MlpModel copies the arrays it is given into one flat float64 vector,
+``params``, and keeps per-layer weight and bias views into it.
 """
 
 from ugatlab.numnet.mlp import (

@@ -6,20 +6,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ugatlab.numnet.mlp import Gradients, MlpModel, ShapeError
+from ugatlab.numnet.mlp import Gradients, MlpModel, ShapeError, flatten
 
 
 @dataclass
 class AdamState:
+    """Step count and first/second moments, laid out like ``MlpModel.params``."""
+
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(
@@ -34,33 +34,23 @@ def init_adam(
         beta1=beta1,
         beta2=beta2,
         eps=eps,
-        m_weights=[np.zeros_like(w) for w in model.weights],
-        v_weights=[np.zeros_like(w) for w in model.weights],
-        m_biases=[np.zeros_like(b) for b in model.biases],
-        v_biases=[np.zeros_like(b) for b in model.biases],
+        m=np.zeros_like(model.params),
+        v=np.zeros_like(model.params),
     )
 
 
-def _update(param, grad, m, v, state, correct1, correct2):
-    if grad.shape != param.shape:
-        raise ShapeError(f"gradient shape {grad.shape} != parameter shape {param.shape}")
+def adam_step(model: MlpModel, grads: Gradients, state: AdamState) -> None:
+    """One in-place Adam update over model.params; deterministic given inputs."""
+    shapes = [g.shape for g in (*grads.weights, *grads.biases)]
+    if shapes != [p.shape for p in (*model.weights, *model.biases)]:
+        raise ShapeError(f"gradient shapes {shapes} do not match the model's parameters")
+    grad = flatten(grads.weights, grads.biases)
+    m, v = state.m, state.v
+    state.step += 1
     m *= state.beta1
     m += (1.0 - state.beta1) * grad
     v *= state.beta2
     v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / correct1
-    v_hat = v / correct2
-    param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def adam_step(model: MlpModel, grads: Gradients, state: AdamState) -> None:
-    """One in-place Adam update; deterministic given inputs."""
-    if len(grads.weights) != len(model.weights) or len(grads.biases) != len(model.biases):
-        raise ShapeError("gradient layer count does not match the model")
-    state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    for w, gw, m, v in zip(model.weights, grads.weights, state.m_weights, state.v_weights):
-        _update(w, gw, m, v, state, c1, c2)
-    for b, gb, m, v in zip(model.biases, grads.biases, state.m_biases, state.v_biases):
-        _update(b, gb, m, v, state, c1, c2)
+    m_hat = m / (1.0 - state.beta1 ** state.step)
+    v_hat = v / (1.0 - state.beta2 ** state.step)
+    model.params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from ugatlab.numnet.mlp import MlpModel, backward, forward
+from ugatlab.numnet.mlp import MlpModel, backward, flatten, forward
 
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -17,7 +17,7 @@ class GradCheckResult:
     max_rel_error: float
     tolerance: float
     passed: bool
-    worst: tuple[int, str, tuple[int, ...]]  # layer index, "weight"|"bias", element index
+    worst: int  # index into model.params of the largest relative error
 
 
 def gradcheck(
@@ -35,31 +35,22 @@ def gradcheck(
     """
     out, cache = forward(model, x)
     _, dloss = loss_fn(out)
-    analytic = backward(model, cache, dloss)
-
-    def numeric_at(param: np.ndarray, idx) -> float:
-        orig = param[idx]
-        param[idx] = orig + step
+    grads = backward(model, cache, dloss)
+    analytic = flatten(grads.weights, grads.biases)
+    params = model.params
+    worst, max_rel = 0, 0.0
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + step
         plus, _ = loss_fn(forward(model, x)[0])
-        param[idx] = orig - step
+        params[i] = orig - step
         minus, _ = loss_fn(forward(model, x)[0])
-        param[idx] = orig
-        return (plus - minus) / (2.0 * step)
-
-    worst = (0, "weight", (0, 0))
-    max_rel = 0.0
-    for l in range(model.spec.n_layers):
-        for kind, param, grad in (
-            ("weight", model.weights[l], analytic.weights[l]),
-            ("bias", model.biases[l], analytic.biases[l]),
-        ):
-            for idx in np.ndindex(param.shape):
-                num = numeric_at(param, idx)
-                ana = float(grad[idx])
-                rel = abs(ana - num) / (abs(ana) + abs(num) + 1e-12)
-                if rel > max_rel:
-                    max_rel = rel
-                    worst = (l, kind, idx)
+        params[i] = orig
+        num = (plus - minus) / (2.0 * step)
+        ana = float(analytic[i])
+        rel = abs(ana - num) / (abs(ana) + abs(num) + 1e-12)
+        if rel > max_rel:
+            max_rel, worst = rel, i
     return GradCheckResult(
         max_rel_error=max_rel, tolerance=tolerance, passed=max_rel < tolerance, worst=worst
     )

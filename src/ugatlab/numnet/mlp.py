@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +49,21 @@ class MlpSpec:
         return len(self.layer_sizes) - 1
 
 
+def flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    """Every weight, then every bias, raveled into one new float64 vector."""
+    return np.concatenate([np.ravel(a) for a in (*weights, *biases)], dtype=np.float64)
+
+
 @dataclass
 class MlpModel:
-    """Weights W[l] of shape (fan_out, fan_in) and biases b[l] of shape (fan_out,)."""
+    """Weights W[l] of shape (fan_out, fan_in) and biases b[l] of shape (fan_out,).
+
+    Both are views into ``params``, a flatten() copy of the arrays given."""
 
     spec: MlpSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         expect = list(zip(self.spec.layer_sizes[1:], self.spec.layer_sizes[:-1]))
@@ -64,6 +72,16 @@ class MlpModel:
         for l, (w, b, shape) in enumerate(zip(self.weights, self.biases, expect)):
             if w.shape != shape or b.shape != (shape[0],):
                 raise ShapeError(f"layer {l}: weight {w.shape} / bias {b.shape} vs spec {shape}")
+        self.params = flatten(self.weights, self.biases)
+        views, start = [], 0
+        for a in (*self.weights, *self.biases):
+            views.append(self.params[start : start + a.size].reshape(a.shape))
+            start += a.size
+        self.weights, self.biases = views[: len(expect)], views[len(expect) :]
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views instead of copying them apart
+        return MlpModel, (self.spec, self.weights, self.biases)
 
 
 @dataclass
@@ -94,11 +112,7 @@ def init_model(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
 
 
 def clone_model(model: MlpModel) -> MlpModel:
-    return MlpModel(
-        spec=model.spec,
-        weights=[w.copy() for w in model.weights],
-        biases=[b.copy() for b in model.biases],
-    )
+    return MlpModel(spec=model.spec, weights=model.weights, biases=model.biases)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -212,7 +226,7 @@ def _encode(a: np.ndarray) -> str:
 
 
 def _decode(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype=np.float64).reshape(shape).copy()
+    return np.frombuffer(base64.b64decode(s), dtype=np.float64).reshape(shape)
 
 
 def model_to_dict(model: MlpModel) -> dict:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ugatlab.numnet import (
     adam_step,
     init_adam,
     init_model,
+    model_to_dict,
 )
 
 
@@ -79,3 +83,51 @@ def test_shape_mismatch_rejected():
     grads.weights[0] = np.zeros((1, 1))
     with pytest.raises(ShapeError):
         adam_step(model, grads, state)
+
+
+def random_grads(model, rng):
+    return Gradients(
+        weights=[rng.normal(size=w.shape) for w in model.weights],
+        biases=[rng.normal(size=b.shape) for b in model.biases],
+    )
+
+
+def per_layer_adam(arrays, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    # reference: the Adam update applied to each layer's array on its own
+    arrays = [a.copy() for a in arrays]
+    ms = [np.zeros_like(a) for a in arrays]
+    vs = [np.zeros_like(a) for a in arrays]
+    for t, grads in enumerate(grad_steps, start=1):
+        for a, g, m, v in zip(arrays, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            a -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return arrays
+
+
+def test_five_steps_equal_the_per_layer_update_bit_for_bit():
+    model = init_model(MlpSpec(layer_sizes=(4, 6, 5, 3)), np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    grad_steps = [random_grads(model, rng) for _ in range(5)]
+    expected = per_layer_adam(
+        [*model.weights, *model.biases], [[*g.weights, *g.biases] for g in grad_steps]
+    )
+    state = init_adam(model)
+    for grads in grad_steps:
+        adam_step(model, grads, state)
+    for got, want in zip((*model.weights, *model.biases), expected):
+        assert np.array_equal(got, want)
+
+
+def test_checkpoint_after_adam_steps_is_pinned():
+    # SHA-256 of a checkpoint; changes only with a documented change to the
+    # init draw order, the Adam arithmetic or the checkpoint format
+    model = init_model(MlpSpec(layer_sizes=(4, 6, 5, 3)), np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    state = init_adam(model)
+    for _ in range(3):
+        adam_step(model, random_grads(model, rng), state)
+    digest = hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest()
+    assert digest == "b5f367378bc541a8f3181a3936942fb86c886bf3a776843d338ff7a8d4762fa1"

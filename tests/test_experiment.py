@@ -47,6 +47,16 @@ def test_default_state_scale_divides_lane_counts_by_the_count_scale():
     assert scale == (1.0 / GroundingConfig().count_scale,) * N_LANES + (1.0,) * N_PHASES
 
 
+def test_grounding_count_scale_sets_the_library_default_state_scale():
+    cfg = ExperimentConfig(grounding=GroundingConfig(count_scale=25.0))
+    assert cfg.dqn.state_scale == (1.0 / 25.0,) * N_LANES + (1.0,) * N_PHASES
+    assert replace(cfg, grounding=GroundingConfig()).dqn.state_scale == cfg.dqn.state_scale
+    explicit = ExperimentConfig(
+        grounding=GroundingConfig(count_scale=25.0), dqn=DqnConfig(state_scale=(0.5,) * 20)
+    )
+    assert explicit.dqn.state_scale == (0.5,) * 20
+
+
 def rec(att=0.0, tp=0, reward=0.0, queue=0.0, delay=0.0):
     return MetricsRecord(
         att=att, tp=tp, reward_mean=reward, queue_mean=queue, delay=delay,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,30 @@ def test_clone_is_independent():
     other = clone_model(model)
     other.weights[0][0, 0] += 1.0
     assert model.weights[0][0, 0] != other.weights[0][0, 0]
+
+
+def test_weights_and_biases_are_views_of_params():
+    model = make_model([3, 4, 2], seed=2)
+    model.weights[1][0, 2] = 7.0  # W0 fills params[:12], W1 params[12:20]
+    model.biases[0][3] = -5.0  # then b0 at params[20:24]
+    assert model.params[14] == 7.0 and model.params[23] == -5.0
+    model.params[:] = 0.0
+    assert all(np.all(a == 0.0) for a in (*model.weights, *model.biases))
+    given = np.eye(3)
+    copied = MlpModel(spec=MlpSpec(layer_sizes=(3, 3)), weights=[given], biases=[np.zeros(3)])
+    given[0, 0] = 2.0
+    assert copied.weights[0][0, 0] == 1.0
+
+
+def test_clone_shares_no_memory_with_its_source():
+    model = make_model([3, 4, 2], seed=1)
+    other = clone_model(model)
+    assert np.array_equal(other.params, model.params)
+    assert not np.shares_memory(other.params, model.params)
+    assert all(np.shares_memory(a, other.params) for a in (*other.weights, *other.biases))
+
+
+def test_unpickled_model_keeps_its_views():
+    model = pickle.loads(pickle.dumps(make_model([3, 4, 2], seed=3)))
+    model.params[:] = 1.0
+    assert all(np.all(a == 1.0) for a in (*model.weights, *model.biases))

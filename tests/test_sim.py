@@ -301,8 +301,8 @@ def test_settled_pair_inside_min_gap_logs_one_entry_per_tick():
     assert sim.gap_violations == [(float(t), lane, gap) for t in range(1, len(permits) + 1)]
 
 
-def run_fixed_cycle_episode(params_name, before_tick=None):
-    demand = generate_demand(2600, 3600, seed=3)
+def run_fixed_cycle_episode(params_name, before_tick=None, demand_seed=3):
+    demand = generate_demand(2600, 3600, seed=demand_seed)
     sim = make_sim(params_name, demand=demand)
     if before_tick is not None:
         tick = sim._tick
@@ -348,6 +348,31 @@ def test_pinned_follower_of_a_moving_leader_is_not_skipped():
             sim._tick(PHASES[0])
         signatures.append(sim.state_signature())
     assert signatures[0] == signatures[1]
+
+
+@pytest.mark.parametrize("demand_seed", [1, 3])
+@pytest.mark.parametrize("params_name", ["V1", "V4"])
+def test_every_red_stop_line_crossing_was_unavoidable(params_name, demand_seed):
+    # a vehicle crosses a red stop line only when, at the start of that tick,
+    # even emergency braking could not stop it before the line
+    start = {}  # vid -> (pos, speed) at the start of the current tick
+    crossings = []  # (braking distance, distance to the stop line)
+
+    def record_new_crossings(sim):
+        for _, _, vid in sim.signal_violations[len(crossings) :]:
+            pos, v = start[vid]
+            braking = v * v / (2.0 * sim.params.emergency_decel)
+            crossings.append((braking, sim.layout.lane_length - pos))
+
+    def before_tick(sim):
+        record_new_crossings(sim)
+        start.clear()
+        start.update((veh.vid, (veh.pos, veh.speed)) for lane in sim.lanes for veh in lane)
+
+    sim = run_fixed_cycle_episode(params_name, before_tick, demand_seed)
+    record_new_crossings(sim)
+    assert crossings  # the fixed cycle does produce red crossings here
+    assert all(braking > distance for braking, distance in crossings), crossings
 
 
 def test_v4_fixed_cycle_episode_signature_is_pinned():
