@@ -93,8 +93,6 @@ def load_config_file(path: str) -> dict[str, dict]:
                 raise ValidationFailure(f"unknown key {key!r} in section [{section}]")
             try:
                 section_values[key] = _parse_value(raw, field_types[key])
-            except ValidationFailure:
-                raise
             except ValueError as exc:
                 raise ValidationFailure(f"bad value for {section}.{key}: {exc}") from exc
         overrides[section] = section_values
@@ -122,12 +120,7 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
         exp["head"] = args.head
     if exp.get("static_alpha") is not None and algorithm == "ugat":
         exp["algorithm"] = "ugat_static"
-    try:
-        return ExperimentConfig(
-            dqn=dqn, grounding=grounding, sim=sim, out_dir=resolve_out_dir(args), **exp
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return ExperimentConfig(dqn=dqn, grounding=grounding, sim=sim, out_dir=resolve_out_dir(args), **exp)
 
 
 def _emit(rows, out_dir: str, quiet: bool) -> None:
@@ -320,9 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationFailure as exc:
-        return _fail("config", str(exc), 1)
-    except (ValueError, TypeError) as exc:
+    except (ValidationFailure, ValueError, TypeError) as exc:
         return _fail("config", str(exc), 1)
     except OSError as exc:
         return _fail("io", str(exc), 2)

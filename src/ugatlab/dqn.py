@@ -49,6 +49,9 @@ class DqnConfig:
             raise ValueError(f"gamma must be in [0, 1): {self.gamma}")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
+        for name in ("batch_size", "target_sync_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
         if self.state_scale is not None and len(self.state_scale) != self.state_dim:
             raise ValueError("state_scale length must equal state_dim")
 

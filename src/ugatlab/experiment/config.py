@@ -39,7 +39,7 @@ class ExperimentConfig:
     grounding: GroundingConfig = field(default_factory=GroundingConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     layout: IntersectionLayout = field(default_factory=IntersectionLayout)
-    out_dir: str | None = None
+    out_dir: str | None = None  # run-tree root; of the protocols only run_arms reads it
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:

@@ -12,11 +12,15 @@ Layout under the output root:
         metrics.csv          per evaluation episode and environment: env,episode,
                              then the MetricsRecord fields in order
     demands/                 training + held-out evaluation schedules, written
-                             once per run before any protocol arm starts
+                             once per run before any arm's seed directories
     gap_report.csv           one row per (label, metric): label,protocol,scenario,
                              metric,sim_mean,sim_std,real_mean,real_std,
                              delta_mean,delta_std,seeds
     summary.txt              side-by-side table of real(gap) +/- std
+
+protocols.run_arms is the one writer of a protocol run. Worker processes only
+compute; it writes demands/ first, then each arm's seed directories in arm
+order, so the tree is the same for any --jobs.
 
 Every command writes gap_report.csv in this one schema: the MetricStats
 fields sit between metric and seeds. gap-report reads each metrics.csv back
@@ -24,7 +28,7 @@ into MetricsRecords and aggregates them as the protocols do, so on a
 protocol's run directory it reproduces that protocol's rows exactly except
 the label, which it sets to <protocol>/<scenario>. compare-uncertainty runs
 its edl, dropout and ensemble arms under the same ugat/<scenario>/seed<k>/
-directory, so only the last head's per-seed files survive there.
+directory, so only the last head's (ensemble's) per-seed files survive there.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -236,14 +237,6 @@ def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_t
     return SeedResult(seed, sim_eval, real_eval, curve, audit_rows or [], alpha_trace or [])
 
 
-def _maybe_write(cfg: ExperimentConfig, label: str, result: SeedResult):
-    if cfg.out_dir is None:
-        return
-    from ugatlab.experiment import io
-
-    io.write_seed_run(cfg, label, result)
-
-
 # --- direct transfer ---------------------------------------------------------------
 
 
@@ -261,9 +254,7 @@ def run_direct_transfer(cfg: ExperimentConfig) -> GapReport:
     per_seed = []
     for seed in cfg.seeds:
         agent, curve = train_direct_policy(cfg, seed, train_demand)
-        result = _seed_result(cfg, seed, agent, eval_demands, curve)
-        _maybe_write(cfg, "direct", result)
-        per_seed.append(result)
+        per_seed.append(_seed_result(cfg, seed, agent, eval_demands, curve))
     return build_gap_report("direct", cfg.scenario, per_seed)
 
 
@@ -308,7 +299,7 @@ def _run_grounded_seed(
     seed: int,
     train_demand: DemandSchedule,
     eval_demands,
-    grounder_factory=None,
+    grounder_factory=Grounder,
     agent_factory=None,
 ) -> SeedResult:
     """One seed of the grounded-training loop.
@@ -331,11 +322,7 @@ def _run_grounded_seed(
 
     curve = train_policy(sim_factory, cfg.pretrain_episodes, agent, buffer, streams["act"])
 
-    grounder = (
-        grounder_factory(cfg, streams["grounder_init"], streams["head"])
-        if grounder_factory is not None
-        else Grounder(cfg, streams["grounder_init"], streams["head"])
-    )
+    grounder = grounder_factory(cfg, streams["grounder_init"], streams["head"])
     rate = _initial_rate(cfg)
     d_sim: list[Transition] = []
     d_real: list[Transition] = []
@@ -378,44 +365,49 @@ def _run_grounded_seed(
     )
 
 
-def run_ugat(cfg: ExperimentConfig, grounder_factory=None, agent_factory=None) -> GapReport:
+def run_ugat(cfg: ExperimentConfig, grounder_factory=Grounder, agent_factory=None) -> GapReport:
     if cfg.algorithm == "direct":
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
     train_demand, eval_demands = _demands(cfg)
-    per_seed = []
-    for seed in cfg.seeds:
-        result = _run_grounded_seed(
-            cfg, seed, train_demand, eval_demands, grounder_factory, agent_factory
-        )
-        _maybe_write(cfg, cfg.protocol_label, result)
-        per_seed.append(result)
+    per_seed = [
+        _run_grounded_seed(cfg, seed, train_demand, eval_demands, grounder_factory, agent_factory)
+        for seed in cfg.seeds
+    ]
     return build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)
 
 
 # --- batteries: ablation, sweep, head comparison ----------------------------------------
 
 
-def _run_arm(arm: tuple[str, ExperimentConfig]) -> tuple[str, GapReport]:
-    label, cfg = arm
-    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
-    return label, runner(cfg)
+def _run_arm(cfg: ExperimentConfig) -> GapReport:
+    return run_direct_transfer(cfg) if cfg.algorithm == "direct" else run_ugat(cfg)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
-    """Run labelled protocol arms in order, on up to `jobs` worker processes.
+    """Run labelled protocol arms on up to `jobs` worker processes.
 
-    The arms share one output root and one demand configuration, so the
-    shared demands/ directory is written once here, before any arm starts.
+    The runners only compute; this is the one writer of the run tree. The arms
+    share one output root and one demand configuration, so the shared
+    demands/ directory is written first. Each arm's seed directories follow
+    in arm order as its report arrives, so the tree is the same for any
+    `jobs` and no two processes write one file.
     """
-    _, cfg = arms[0]
-    if cfg.out_dir is not None:
-        from ugatlab.experiment import io
+    from ugatlab.experiment import io  # io imports this module
 
-        io.write_demands(cfg.out_dir, *_demands(cfg))
-    if jobs <= 1 or len(arms) <= 1:
-        return [_run_arm(a) for a in arms]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_arm, arms))
+    _, first = arms[0]
+    out_dir = first.out_dir
+    if out_dir is not None:
+        io.write_demands(out_dir, *_demands(first))
+    parallel = jobs > 1 and len(arms) > 1
+    rows = []
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        reports = (pool.map if parallel else map)(_run_arm, [cfg for _, cfg in arms])
+        for (label, cfg), report in zip(arms, reports):
+            if out_dir is not None:
+                for result in report.per_seed:
+                    io.write_seed_run(cfg, report.protocol, result)
+            rows.append((label, report))
+    return rows
 
 
 def run_ablation(cfg: ExperimentConfig, jobs: int = 1) -> list[tuple[str, GapReport]]:

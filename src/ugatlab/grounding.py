@@ -73,6 +73,11 @@ class GroundingConfig:
     count_scale: float = 50.0  # lane-count normalization divisor
 
     def __post_init__(self):
+        for name in ("train_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
+        if not 0.0 < self.count_scale < math.inf:  # NaN fails too
+            raise ValueError(f"count_scale must be finite and > 0: {self.count_scale}")
         if self.dropout_passes < 2:
             raise ValueError("dropout head needs at least 2 passes")
         if self.ensemble_size < 2:

@@ -34,17 +34,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
+def _class_targets(target_class, n: int, k: int) -> np.ndarray:
+    """Target classes as an (n,) intp array, each in [0, k)."""
+    targets = np.atleast_1d(np.asarray(target_class, dtype=np.intp))
+    if targets.shape != (n,):
+        raise ValueError(f"targets shape {targets.shape} != ({n},)")
+    if np.any(targets < 0) or np.any(targets >= k):
+        raise IndexError(f"target class out of range for {k} classes")
+    return targets
+
+
 def cce_loss(logits: np.ndarray, target_class) -> tuple[float, np.ndarray]:
     """-log softmax(logits)[target]; grad = softmax - onehot (over logits)."""
     logits = np.asarray(logits, dtype=np.float64)
     single = logits.ndim == 1
     z = logits[None, :] if single else logits
     n, k = z.shape
-    targets = np.atleast_1d(np.asarray(target_class, dtype=np.intp))
-    if targets.shape != (n,):
-        raise ValueError(f"targets shape {targets.shape} != ({n},)")
-    if np.any(targets < 0) or np.any(targets >= k):
-        raise IndexError(f"target class out of range for {k} classes")
+    targets = _class_targets(target_class, n, k)
     rows = np.arange(n)
     loss = float(-_log_softmax(z)[rows, targets].mean())
     grad = softmax(z)
@@ -67,11 +73,7 @@ def edl_loss(evidence: np.ndarray, target_class, anneal: float = 1.0) -> tuple[f
     single = evidence.ndim == 1
     ev = evidence[None, :] if single else evidence
     n, k = ev.shape
-    targets = np.atleast_1d(np.asarray(target_class, dtype=np.intp))
-    if targets.shape != (n,):
-        raise ValueError(f"targets shape {targets.shape} != ({n},)")
-    if np.any(targets < 0) or np.any(targets >= k):
-        raise IndexError(f"target class out of range for {k} classes")
+    targets = _class_targets(target_class, n, k)
     rows = np.arange(n)
 
     alpha = ev + 1.0

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("identity", "relu", "softmax")
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -27,7 +26,6 @@ class MlpSpec:
     """Architecture: layer sizes input -> hidden... -> output."""
 
     layer_sizes: tuple[int, ...]
-    hidden_activation: str = "relu"
     output_activation: str = "identity"
     dropout_rate: float = 0.0
 
@@ -37,8 +35,6 @@ class MlpSpec:
             raise ShapeError("an MLP needs at least an input and an output layer")
         if any(n <= 0 for n in self.layer_sizes):
             raise ShapeError(f"layer sizes must be positive: {self.layer_sizes}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -233,7 +229,7 @@ def model_to_dict(model: MlpModel) -> dict:
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_sizes": list(model.spec.layer_sizes),
-        "hidden_activation": model.spec.hidden_activation,
+        "hidden_activation": "relu",
         "output_activation": model.spec.output_activation,
         "dropout_rate": model.spec.dropout_rate,
         "weights": [{"rows": w.shape[0], "cols": w.shape[1], "data": _encode(w)} for w in model.weights],
@@ -245,9 +241,10 @@ def model_from_dict(d: dict) -> MlpModel:
     version = d.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {version!r}")
+    if d["hidden_activation"] != "relu":
+        raise ValueError(f"unknown hidden activation {d['hidden_activation']!r}")
     spec = MlpSpec(
         layer_sizes=tuple(d["layer_sizes"]),
-        hidden_activation=d["hidden_activation"],
         output_activation=d["output_activation"],
         dropout_rate=d["dropout_rate"],
     )

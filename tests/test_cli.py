@@ -1,3 +1,4 @@
+import configparser
 import csv
 
 import pytest
@@ -43,6 +44,17 @@ episode_length = 60.0
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
+    return str(path)
+
+
+def tiny_with(path, settings):
+    """Write TINY with {(section, key): value} settings replacing or adding keys."""
+    parser = configparser.ConfigParser()
+    parser.read_string(TINY)
+    for (section, key), value in settings.items():
+        parser[section][key] = value
+    with path.open("w") as fh:
+        parser.write(fh)
     return str(path)
 
 
@@ -282,6 +294,27 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("grounding", "count_scale", "0"),
+        ("grounding", "count_scale", "-50"),
+        ("grounding", "train_epochs", "0"),
+        ("grounding", "batch_size", "0"),
+        ("dqn", "batch_size", "0"),
+        ("dqn", "target_sync_period", "0"),
+    ],
+)
+def test_out_of_range_learner_setting_fails_as_config_error(tmp_path, capsys, section, key, value):
+    cfg = tiny_with(tmp_path / "bad.cfg", {(section, key): value})
+    code = main(["train-ugat", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ugatlab: error: config:")
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_ugat_rejects_an_alpha_list(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["train-ugat", "--config", tiny_config, "--out", str(out), "--alpha", "0.2,0.4", "--quiet"])
@@ -325,3 +358,23 @@ def test_identical_invocations_are_byte_identical(tiny_config, tmp_path):
     assert files
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def test_compare_uncertainty_tree_is_the_same_for_any_jobs(tmp_path):
+    # longer episodes and 400 dropout passes make the dropout arm finish last,
+    # after the ensemble arm that shares its seed directory
+    cfg = tiny_with(
+        tmp_path / "slow_dropout.cfg",
+        {
+            ("experiment", "steps_per_episode"): "40",
+            ("sim", "episode_length"): "200.0",
+            ("grounding", "dropout_passes"): "400",
+        },
+    )
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["compare-uncertainty", "--config", cfg, "--out", str(out), "--jobs", jobs, "--quiet"]) == 0
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "head = ensemble" in trees[0]["ugat/V1/seed1/manifest.txt"].decode()
+    assert trees[1] == trees[0]

@@ -263,9 +263,9 @@ def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monk
     cfg = tiny_cfg(algorithm="direct", out_dir=str(tmp_path))
     seen = []
 
-    def fake_arm(arm):
+    def fake_arm(arm_cfg):
         seen.append(sorted(p.name for p in (tmp_path / "demands").glob("*")))
-        return arm[0], None
+        return protocols.GapReport(arm_cfg.algorithm, arm_cfg.scenario, (), [], {})
 
     monkeypatch.setattr(protocols, "_run_arm", fake_arm)
     protocols.run_arms([("a", cfg), ("b", cfg)])
@@ -281,7 +281,7 @@ def test_metrics_csv_reads_back_into_the_evaluated_records(tmp_path):
         sim=SimConfig(episode_length=120.0),
         out_dir=str(tmp_path),
     )
-    report = run_direct_transfer(cfg)
+    ((_, report),) = protocols.run_arms([("direct", cfg)])
     for sr in report.per_seed:
         read = io.read_metrics_csv(io.seed_dir(tmp_path, "direct", "V1", sr.seed) / "metrics.csv")
         assert list(read) == ["sim", "real"]
@@ -290,6 +290,31 @@ def test_metrics_csv_reads_back_into_the_evaluated_records(tmp_path):
             for got, want in zip(read[env], evaluated.episodes):
                 assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
     assert any(r.tp > 0 and r.att % 1.0 != 0.0 for r in read["real"])
+
+
+def test_protocol_runners_write_nothing(tmp_path):
+    cfg = tiny_cfg(pretrain_episodes=1, out_dir=str(tmp_path))
+    run_ugat(cfg)
+    run_direct_transfer(replace(cfg, algorithm="direct"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        (GroundingConfig, "count_scale", 0.0),
+        (GroundingConfig, "count_scale", -50.0),
+        (GroundingConfig, "count_scale", math.inf),
+        (GroundingConfig, "count_scale", math.nan),
+        (GroundingConfig, "train_epochs", 0),
+        (GroundingConfig, "batch_size", 0),
+        (DqnConfig, "batch_size", 0),
+        (DqnConfig, "target_sync_period", 0),
+    ],
+)
+def test_out_of_range_learner_settings_fail_at_construction(config, field, value):
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
 
 
 @pytest.mark.parametrize("alpha", [-math.inf, math.nan, -0.1])

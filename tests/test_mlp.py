@@ -13,6 +13,8 @@ from ugatlab.numnet import (
     forward,
     init_model,
     load_model,
+    model_from_dict,
+    model_to_dict,
     mse_loss,
     save_model,
     softmax,
@@ -156,6 +158,14 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     a, _ = forward(model, x)
     b, _ = forward(loaded, x)
     assert np.array_equal(a, b)
+
+
+def test_checkpoint_with_another_hidden_activation_is_rejected():
+    d = model_to_dict(make_model([4, 7, 3], seed=21))
+    assert d["hidden_activation"] == "relu"
+    d["hidden_activation"] = "tanh"
+    with pytest.raises(ValueError, match="hidden activation 'tanh'"):
+        model_from_dict(d)
 
 
 def test_clone_is_independent():
