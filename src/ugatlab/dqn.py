@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,38 +53,85 @@ class DqnConfig:
         for name in ("batch_size", "target_sync_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
+            raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
+        if self.replay_capacity < self.batch_size:
+            raise ValueError(
+                f"replay_capacity must be >= batch_size ({self.batch_size}): {self.replay_capacity}"
+            )
         if self.state_scale is not None and len(self.state_scale) != self.state_dim:
             raise ValueError("state_scale length must equal state_dim")
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring with strictly FIFO eviction and seeded sampling."""
+    """Fixed-capacity ring with strictly FIFO eviction and seeded sampling.
+
+    Transitions live in five preallocated arrays (states, actions, rewards,
+    next states, live flags 1.0/0.0), made on the first push with the state
+    shape of that transition. push() copies a transition's fields into its
+    slot in place, so the caller may reuse its arrays. The slots fill in the
+    order of a list that appends until full and then overwrites the oldest
+    entry, and the arrays are float64 (actions intp), so a seeded rng.choice
+    over the slots draws a batch with the same bytes as np.stack over the
+    same draw from a list of the Transitions.
+    """
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._rng = rng
-        self._items: list[Transition] = []
+        self._arrays: tuple[np.ndarray, ...] = ()
+        self._size = 0
         self._write = 0
 
     def push(self, item: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._write] = item
-            self._write = (self._write + 1) % self.capacity
+        if not self._arrays:
+            shape = (self.capacity, *np.shape(item.state))
+            self._arrays = (
+                np.empty(shape),
+                np.empty(self.capacity, dtype=np.intp),
+                np.empty(self.capacity),
+                np.empty(shape),
+                np.empty(self.capacity),
+            )
+        states, actions, rewards, next_states, live = self._arrays
+        if np.shape(item.state) != states.shape[1:] or np.shape(item.next_state) != states.shape[1:]:
+            raise ShapeError(f"transition states must have shape {states.shape[1:]}")
+        k = self._write
+        states[k] = item.state
+        actions[k] = item.action
+        rewards[k] = item.reward
+        next_states[k] = item.next_state
+        live[k] = 0.0 if item.terminal else 1.0
+        self._write = (k + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n: int) -> list[Transition]:
-        idx = self._rng.choice(len(self._items), size=n, replace=False)
-        return [self._items[i] for i in idx]
+    def sample(self, n: int) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next_states, live) for n distinct slots."""
+        idx = self._rng.choice(len(self), size=n, replace=False)
+        return tuple(a.take(idx, axis=0) for a in self._arrays)
 
     def snapshot(self) -> list[Transition]:
-        """Contents in insertion order (oldest first)."""
-        return self._items[self._write :] + self._items[: self._write]
+        """Contents in insertion order (oldest first), as fresh Transitions."""
+        if not self._size:
+            return []
+        states, actions, rewards, next_states, live = self._arrays
+        start = self._write if self._size == self.capacity else 0
+        order = [(start + i) % self.capacity for i in range(self._size)]
+        return [
+            Transition(
+                states[k].copy(),
+                int(actions[k]),
+                float(rewards[k]),
+                next_states[k].copy(),
+                bool(live[k] == 0.0),
+            )
+            for k in order
+        ]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
 
 class DqnAgent:
@@ -130,17 +178,11 @@ class DqnAgent:
         c = self.config
         if len(buffer) < c.batch_size:
             return None
-        batch = buffer.sample(c.batch_size)
-        states = self._featurize(np.stack([t.state for t in batch]))
-        next_states = self._featurize(np.stack([t.next_state for t in batch]))
-        actions = np.array([t.action for t in batch], dtype=np.intp)
-        rewards = np.array([t.reward for t in batch])
-        live = np.array([0.0 if t.terminal else 1.0 for t in batch])
-
-        next_q, _ = forward(self.target_model, next_states)
+        states, actions, rewards, next_states, live = buffer.sample(c.batch_size)
+        next_q, _ = forward(self.target_model, self._featurize(next_states))
         targets = rewards + c.gamma * live * next_q.max(axis=1)
 
-        q_all, cache = forward(self.q_model, states)
+        q_all, cache = forward(self.q_model, self._featurize(states))
         rows = np.arange(c.batch_size)
         loss, dpred = mse_loss(q_all[rows, actions], targets)
         grad_out = np.zeros_like(q_all)

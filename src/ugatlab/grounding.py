@@ -76,8 +76,9 @@ class GroundingConfig:
         for name in ("train_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
-        if not 0.0 < self.count_scale < math.inf:  # NaN fails too
-            raise ValueError(f"count_scale must be finite and > 0: {self.count_scale}")
+        for name in ("count_scale", "learning_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and > 0: {getattr(self, name)}")
         if self.dropout_passes < 2:
             raise ValueError("dropout head needs at least 2 passes")
         if self.ensemble_size < 2:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ugatlab.numnet.mlp import Gradients, MlpModel, ShapeError, flatten
+from ugatlab.numnet.mlp import Gradients, MlpModel, ShapeError
 
 
 @dataclass
@@ -20,6 +20,10 @@ class AdamState:
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # two work vectors like m, (re)made by adam_step whenever their size is off
+    _work: np.ndarray = field(
+        default_factory=lambda: np.zeros((2, 0)), init=False, repr=False, compare=False
+    )
 
 
 def init_adam(
@@ -40,17 +44,33 @@ def init_adam(
 
 
 def adam_step(model: MlpModel, grads: Gradients, state: AdamState) -> None:
-    """One in-place Adam update over model.params; deterministic given inputs."""
+    """One in-place Adam update over model.params; deterministic given inputs.
+
+    Every update writes into ``m``, ``v``, ``params`` or the state's two work
+    vectors, so a step allocates nothing the size of the parameters; the
+    caller's gradient arrays are only read. Each element still goes through
+    the same IEEE operations in the same order as the textbook form
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``params -= lr*m_hat / (sqrt(v_hat) + eps)``. Elementwise operations round
+    each result once whatever array they write to, so the bytes are those of
+    the allocating form.
+    """
     shapes = [g.shape for g in (*grads.weights, *grads.biases)]
     if shapes != [p.shape for p in (*model.weights, *model.biases)]:
         raise ShapeError(f"gradient shapes {shapes} do not match the model's parameters")
-    grad = flatten(grads.weights, grads.biases)
     m, v = state.m, state.v
+    if state._work.shape != (2, m.size):
+        state._work = np.empty((2, m.size))
+    grad, tmp = state._work
+    np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)], out=grad)
     state.step += 1
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    m += np.multiply(1.0 - state.beta1, grad, out=tmp)
     v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** state.step)
-    v_hat = v / (1.0 - state.beta2 ** state.step)
-    model.params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    v += np.multiply(np.multiply(1.0 - state.beta2, grad, out=tmp), grad, out=tmp)
+    # grad is spent: it holds m_hat and then the step, tmp holds v_hat
+    m_hat = np.divide(m, 1.0 - state.beta1 ** state.step, out=grad)
+    v_hat = np.divide(v, 1.0 - state.beta2 ** state.step, out=tmp)
+    step = np.multiply(state.learning_rate, m_hat, out=m_hat)
+    step /= np.add(np.sqrt(v_hat, out=v_hat), state.eps, out=v_hat)
+    model.params -= step

@@ -121,6 +121,17 @@ def test_five_steps_equal_the_per_layer_update_bit_for_bit():
         assert np.array_equal(got, want)
 
 
+def test_adam_step_leaves_the_gradients_alone():
+    model = init_model(MlpSpec(layer_sizes=(4, 6, 5, 3)), np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    state = init_adam(model)
+    for _ in range(3):
+        grads = random_grads(model, rng)
+        before = [a.tobytes() for a in (*grads.weights, *grads.biases)]
+        adam_step(model, grads, state)
+        assert [a.tobytes() for a in (*grads.weights, *grads.biases)] == before
+
+
 def test_checkpoint_after_adam_steps_is_pinned():
     # SHA-256 of a checkpoint; changes only with a documented change to the
     # init draw order, the Adam arithmetic or the checkpoint format

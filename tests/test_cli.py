@@ -301,8 +301,12 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
         ("grounding", "count_scale", "-50"),
         ("grounding", "train_epochs", "0"),
         ("grounding", "batch_size", "0"),
+        ("grounding", "learning_rate", "-1.0"),
         ("dqn", "batch_size", "0"),
         ("dqn", "target_sync_period", "0"),
+        ("dqn", "learning_rate", "nan"),
+        ("dqn", "replay_capacity", "0"),
+        ("dqn", "replay_capacity", "3"),
     ],
 )
 def test_out_of_range_learner_setting_fails_as_config_error(tmp_path, capsys, section, key, value):

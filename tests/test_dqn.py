@@ -9,6 +9,7 @@ from ugatlab.dqn import (
     Transition,
     train_policy,
 )
+from ugatlab.numnet import ShapeError
 
 
 def make_agent(state_dim=4, n_actions=8, seed=0, **kw):
@@ -86,7 +87,69 @@ def test_replay_sampling_is_seeded():
     b = ReplayBuffer(capacity=100, rng=np.random.default_rng(7))
     fill(a)
     fill(b)
-    assert a.sample(10) == b.sample(10)
+    for x, y in zip(a.sample(10), b.sample(10), strict=True):
+        assert np.array_equal(x, y)
+
+
+class ListReplay:
+    """Reference sampler: a list of Transitions, FIFO overwrite, np.stack per draw."""
+
+    def __init__(self, capacity, rng):
+        self.capacity, self.rng, self.items, self.write = capacity, rng, [], 0
+
+    def push(self, item):
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            self.items[self.write] = item
+            self.write = (self.write + 1) % self.capacity
+
+    def sample(self, n):
+        batch = [self.items[i] for i in self.rng.choice(len(self.items), size=n, replace=False)]
+        return (
+            np.stack([t.state for t in batch]),
+            np.array([t.action for t in batch], dtype=np.intp),
+            np.array([t.reward for t in batch]),
+            np.stack([t.next_state for t in batch]),
+            np.array([0.0 if t.terminal else 1.0 for t in batch]),
+        )
+
+
+def test_replay_ring_samples_like_the_list_reference():
+    ring = ReplayBuffer(capacity=7, rng=np.random.default_rng(3))
+    ref = ListReplay(capacity=7, rng=np.random.default_rng(3))
+    data = np.random.default_rng(4)
+    for i in range(20):
+        item = tr(data.normal(size=3), i % 8, data.normal(), data.normal(size=3), terminal=i % 3 == 0)
+        ring.push(item)
+        ref.push(item)
+        if i >= 4:  # draws interleave with pushes, before and after the ring wraps
+            for got, want in zip(ring.sample(5), ref.sample(5), strict=True):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+    fifo = ref.items[ref.write :] + ref.items[: ref.write]
+    for got, want in zip(ring.snapshot(), fifo, strict=True):
+        assert np.array_equal(got.state, want.state)
+        assert np.array_equal(got.next_state, want.next_state)
+        assert (got.action, got.reward, got.terminal) == (want.action, want.reward, want.terminal)
+
+
+def test_replay_push_copies_the_transition():
+    buf = ReplayBuffer(capacity=4, rng=np.random.default_rng(0))
+    state, next_state = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    buf.push(Transition(state, 1, -1.0, next_state, False))
+    state[:] = 0.0
+    next_state[:] = 0.0
+    states, _, _, next_states, _ = buf.sample(1)
+    assert np.array_equal(states, [[1.0, 2.0]])
+    assert np.array_equal(next_states, [[3.0, 4.0]])
+
+
+def test_replay_rejects_a_state_of_another_shape():
+    buf = ReplayBuffer(capacity=4, rng=np.random.default_rng(0))
+    buf.push(tr([0.0, 0.0], 0, 0.0, [0.0, 0.0]))
+    with pytest.raises(ShapeError):
+        buf.push(tr([0.0], 0, 0.0, [0.0]))
 
 
 # --- learn -------------------------------------------------------------------

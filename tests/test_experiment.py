@@ -308,8 +308,16 @@ def test_protocol_runners_write_nothing(tmp_path):
         (GroundingConfig, "count_scale", math.nan),
         (GroundingConfig, "train_epochs", 0),
         (GroundingConfig, "batch_size", 0),
+        (GroundingConfig, "learning_rate", -1.0),
+        (GroundingConfig, "learning_rate", 0.0),
+        (GroundingConfig, "learning_rate", math.nan),
         (DqnConfig, "batch_size", 0),
         (DqnConfig, "target_sync_period", 0),
+        (DqnConfig, "learning_rate", math.nan),
+        (DqnConfig, "learning_rate", math.inf),
+        (DqnConfig, "learning_rate", -1e-3),
+        (DqnConfig, "replay_capacity", 0),
+        (DqnConfig, "replay_capacity", 10),
     ],
 )
 def test_out_of_range_learner_settings_fail_at_construction(config, field, value):
