@@ -48,9 +48,12 @@ class DqnConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1): {self.gamma}")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, 1]: {getattr(self, name)}")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
-        for name in ("batch_size", "target_sync_period"):
+        for name in ("batch_size", "target_sync_period", "epsilon_decay_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
         if not 0.0 < self.learning_rate < math.inf:  # NaN fails too
@@ -158,7 +161,7 @@ class DqnAgent:
 
     def epsilon(self) -> float:
         c = self.config
-        frac = min(1.0, self.decision_steps / max(1, c.epsilon_decay_steps))
+        frac = min(1.0, self.decision_steps / c.epsilon_decay_steps)
         return c.epsilon_start + (c.epsilon_end - c.epsilon_start) * frac
 
     def act(self, state: np.ndarray, eps: float, rng: np.random.Generator) -> int:
@@ -207,6 +210,23 @@ class EpisodeRecord:
     epsilon: float
 
 
+def play_episode(env, policy, step_hook=None):
+    """The one agent-environment loop of training, rollouts and evaluation.
+
+    Resets env; per decision, policy(state) picks the action, step_hook(state,
+    action), when given, picks the one env executes, and env steps. Yields a
+    Transition with the policy's action after each step, with env post-step.
+    """
+    state = env.reset()
+    done = False
+    while not done:
+        action = policy(state)
+        executed = action if step_hook is None else step_hook(state, action)
+        next_state, reward, done = env.step(executed)
+        yield Transition(state, action, reward, next_state, done)
+        state = next_state
+
+
 def train_policy(
     env_factory,
     episodes: int,
@@ -215,7 +235,7 @@ def train_policy(
     act_rng: np.random.Generator,
     step_hook=None,
 ) -> list[EpisodeRecord]:
-    """Standard DQN training loop over full episodes.
+    """Standard DQN training loop over full episodes of play_episode.
 
     env_factory() yields a fresh episode with reset()/step(); one learn step
     runs per decision step once the buffer is warm, and the target network
@@ -225,25 +245,17 @@ def train_policy(
     """
     records = []
     for ep in range(episodes):
-        env = env_factory()
-        state = env.reset()
         total = 0.0
         losses = []
-        done = False
-        while not done:
-            eps = agent.epsilon()
-            action = agent.act(state, eps, act_rng)
-            executed = action if step_hook is None else step_hook(state, action)
-            next_state, reward, done = env.step(executed)
-            buffer.push(Transition(state, action, reward, next_state, done))
+        for t in play_episode(env_factory(), lambda s: agent.act(s, agent.epsilon(), act_rng), step_hook):
+            buffer.push(t)
             agent.decision_steps += 1
             loss = agent.learn(buffer)
             if loss is not None:
                 losses.append(loss)
                 if agent.learn_steps % agent.config.target_sync_period == 0:
                     agent.sync_target()
-            total += reward
-            state = next_state
+            total += t.reward
         records.append(
             EpisodeRecord(
                 episode=ep,

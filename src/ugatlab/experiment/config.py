@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.grounding import HEAD_KINDS, GroundingConfig
-from ugatlab.sim import N_LANES, N_PHASES, SCENARIOS, IntersectionLayout, SimConfig
+from ugatlab.sim import N_LANES, N_PHASES, SCENARIOS, STATE_DIM, IntersectionLayout, SimConfig
 
 ALGORITHMS = ("direct", "gat", "ugat", "ugat_static")
 
@@ -59,6 +59,15 @@ class ExperimentConfig:
                 raise ValueError("grounding algorithms need iterations >= 1 and epochs >= 1")
         if self.steps_per_episode < 1 or self.eval_episodes < 1 or self.rollout_episodes < 1:
             raise ValueError("episode/rollout counts must be >= 1")
+        for name in ("pretrain_episodes", "direct_episodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
+        if not 0.0 <= self.rollout_epsilon <= 1.0:  # NaN fails too
+            raise ValueError(f"rollout_epsilon must be in [0, 1]: {self.rollout_epsilon}")
+        if self.dqn.state_dim != STATE_DIM:
+            raise ValueError(f"dqn.state_dim must equal the sim's {STATE_DIM}: {self.dqn.state_dim}")
+        if not 1 <= self.dqn.n_actions <= N_PHASES:
+            raise ValueError(f"dqn.n_actions must be in 1..{N_PHASES}: {self.dqn.n_actions}")
         if self.dqn.state_scale is None:
             # lane counts scaled as the grounding models scale them, phase one-hot
             # untouched; the derived scale is then explicit, so

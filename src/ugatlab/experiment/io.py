@@ -124,11 +124,8 @@ def write_seed_run(cfg: ExperimentConfig, protocol: str, result: SeedResult) -> 
         + ["action", "grounded_action", "reward"]
         + [f"queue{i}" for i in range(N_LANES)]
     )
-    rows = []
-    for res in (result.sim_eval, result.real_eval):
-        for env_tag, ep, t, state, action, grounded, reward, queues in res.trajectory_rows:
-            rows.append([env_tag, ep, t, *state, action, grounded, reward, *queues])
-    _write_csv(run / "trajectory.csv", traj_header, rows)
+    traj_rows = [*result.sim_eval.trajectory_rows, *result.real_eval.trajectory_rows]
+    _write_csv(run / "trajectory.csv", traj_header, traj_rows)
 
     _write_csv(
         run / "vehicles.csv",

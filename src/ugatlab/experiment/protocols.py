@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ugatlab.dqn import DqnAgent, EpisodeRecord, ReplayBuffer, Transition, train_policy
+from ugatlab.dqn import DqnAgent, EpisodeRecord, ReplayBuffer, Transition, play_episode, train_policy
 from ugatlab.experiment.config import ExperimentConfig
 from ugatlab.grounding import (
     ForwardModel,
@@ -75,7 +75,7 @@ class EvalResult:
     """
 
     episodes: list[MetricsRecord]
-    trajectory_rows: list[tuple] = field(default_factory=list)
+    trajectory_rows: list[tuple] = field(default_factory=list)  # trajectory.csv rows, in column order
     vehicle_rows: list[tuple] = field(default_factory=list)
     mean: dict[str, float] = field(init=False)
     std: dict[str, float] = field(init=False)
@@ -100,6 +100,7 @@ def evaluate(
     sim_cfg: SimConfig,
     env_tag: str = "",
 ) -> EvalResult:
+    """Greedy episodes of play_episode, one per demand schedule, in params_name."""
     records: list[MetricsRecord] = []
     traj_rows: list[tuple] = []
     veh_rows: list[tuple] = []
@@ -107,15 +108,10 @@ def evaluate(
     greedy_rng = np.random.default_rng(0)  # never consumed at epsilon 0
     for ep, demand in enumerate(demands):
         env = TrafficSim(layout, params, demand, sim_cfg)
-        state = env.reset()
-        done = False
-        while not done:
-            action = agent.act(state, 0.0, greedy_rng)
-            next_state, reward, done = env.step(action)
+        for t in play_episode(env, lambda s: agent.act(s, 0.0, greedy_rng)):
             traj_rows.append(
-                (env_tag, ep, env.time, tuple(state), action, action, reward, env.lane_queue_counts())
+                (env_tag, ep, env.time, *t.state, t.action, t.action, t.reward, *env.lane_queue_counts())
             )
-            state = next_state
         records.append(env.finalize_metrics())
         veh_rows.extend(
             (env_tag, ep, c.vid, c.movement, c.spawn_time, c.completion_time)
@@ -217,18 +213,10 @@ def rollout(
     epsilon: float,
     rng: np.random.Generator,
 ) -> list[Transition]:
-    """Ungrounded data-collection episodes; stores the executed action."""
-    out: list[Transition] = []
-    for _ in range(episodes):
-        env = env_factory()
-        state = env.reset()
-        done = False
-        while not done:
-            action = agent.act(state, epsilon, rng)
-            next_state, reward, done = env.step(action)
-            out.append(Transition(state, action, reward, next_state, done))
-            state = next_state
-    return out
+    """Ungrounded epsilon-greedy episodes of play_episode; stores the executed action."""
+    return [
+        t for _ in range(episodes) for t in play_episode(env_factory(), lambda s: agent.act(s, epsilon, rng))
+    ]
 
 
 def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_trace=None) -> SeedResult:
@@ -299,8 +287,6 @@ def _run_grounded_seed(
     seed: int,
     train_demand: DemandSchedule,
     eval_demands,
-    grounder_factory=Grounder,
-    agent_factory=None,
 ) -> SeedResult:
     """One seed of the grounded-training loop.
 
@@ -311,18 +297,14 @@ def _run_grounded_seed(
     alpha at +inf and ugat_static at its constant; both skip the update.
     """
     streams = seed_streams(seed)
-    agent = (
-        agent_factory(cfg, streams["agent_init"])
-        if agent_factory is not None
-        else DqnAgent(cfg.dqn, streams["agent_init"])
-    )
+    agent = DqnAgent(cfg.dqn, streams["agent_init"])
     buffer = ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"])
     sim_factory = _env_factory(cfg, "Default", train_demand, cfg.training_sim)
     real_factory = _env_factory(cfg, cfg.scenario, train_demand, cfg.training_sim)
 
     curve = train_policy(sim_factory, cfg.pretrain_episodes, agent, buffer, streams["act"])
 
-    grounder = grounder_factory(cfg, streams["grounder_init"], streams["head"])
+    grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
     rate = _initial_rate(cfg)
     d_sim: list[Transition] = []
     d_real: list[Transition] = []
@@ -360,19 +342,14 @@ def _run_grounded_seed(
             update_alpha(rate)
         alpha_trace.append((iteration, rate.alpha))
 
-    return _seed_result(
-        cfg, seed, agent, eval_demands, curve, audit_rows=audit_rows, alpha_trace=alpha_trace
-    )
+    return _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows, alpha_trace)
 
 
-def run_ugat(cfg: ExperimentConfig, grounder_factory=Grounder, agent_factory=None) -> GapReport:
+def run_ugat(cfg: ExperimentConfig) -> GapReport:
     if cfg.algorithm == "direct":
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
     train_demand, eval_demands = _demands(cfg)
-    per_seed = [
-        _run_grounded_seed(cfg, seed, train_demand, eval_demands, grounder_factory, agent_factory)
-        for seed in cfg.seeds
-    ]
+    per_seed = [_run_grounded_seed(cfg, seed, train_demand, eval_demands) for seed in cfg.seeds]
     return build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)
 
 

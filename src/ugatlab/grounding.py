@@ -79,6 +79,8 @@ class GroundingConfig:
         for name in ("count_scale", "learning_rate"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and > 0: {getattr(self, name)}")
+        if not 0.0 <= self.dropout_rate < 1.0:  # NaN fails too
+            raise ValueError(f"dropout_rate must be in [0, 1): {self.dropout_rate}")
         if self.dropout_passes < 2:
             raise ValueError("dropout head needs at least 2 passes")
         if self.ensemble_size < 2:

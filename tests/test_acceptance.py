@@ -5,12 +5,13 @@ run with -s to watch the per-criterion lines appear.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from ugatlab.dqn import DqnAgent, DqnConfig, FixedCycleController, ReplayBuffer, train_policy
-from ugatlab.experiment import ExperimentConfig, io, run_ugat
+from ugatlab.experiment import ExperimentConfig, io, protocols, run_ugat
 from ugatlab.experiment.protocols import (
     _demands,
     _run_grounded_seed,
@@ -292,14 +293,11 @@ def test_criterion_5_algorithm_fidelity():
     us_iter2 = [0.5, 0.3, 0.6, 0.49, 0.51, 0.5]
     grounder = ScriptedGrounder(us_iter1 + us_iter2)
     train_demand, eval_demands = _demands(cfg)
-    result = _run_grounded_seed(
-        cfg,
-        1,
-        train_demand,
-        eval_demands,
-        grounder_factory=lambda c, a, b: grounder,
-        agent_factory=lambda c, rng: ScriptedAgent(c.dqn),
-    )
+    with (
+        mock.patch.object(protocols, "Grounder", lambda c, a, b: grounder),
+        mock.patch.object(protocols, "DqnAgent", lambda dqn, rng: ScriptedAgent(dqn)),
+    ):
+        result = _run_grounded_seed(cfg, 1, train_demand, eval_demands)
     checks = {}
     per_iter = cfg.epochs_per_iteration * cfg.steps_per_episode
     checks["log length T*E per iteration"] = grounder.calls == 2 * per_iter and all(

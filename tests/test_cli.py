@@ -307,6 +307,14 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
         ("dqn", "learning_rate", "nan"),
         ("dqn", "replay_capacity", "0"),
         ("dqn", "replay_capacity", "3"),
+        ("dqn", "epsilon_start", "nan"),
+        ("dqn", "epsilon_end", "nan"),
+        ("dqn", "epsilon_decay_steps", "0"),
+        ("dqn", "n_actions", "9"),
+        ("grounding", "dropout_rate", "1.5"),
+        ("experiment", "rollout_epsilon", "nan"),
+        ("experiment", "direct_episodes", "-3"),
+        ("experiment", "pretrain_episodes", "-1"),
     ],
 )
 def test_out_of_range_learner_setting_fails_as_config_error(tmp_path, capsys, section, key, value):
@@ -316,6 +324,17 @@ def test_out_of_range_learner_setting_fails_as_config_error(tmp_path, capsys, se
     err = capsys.readouterr().err
     assert err.startswith("ugatlab: error: config:")
     assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_state_dim_other_than_the_sims_fails_as_config_error(tmp_path, capsys):
+    scale = ",".join(["1.0"] * 10)
+    cfg = tiny_with(tmp_path / "bad.cfg", {("dqn", "state_dim"): "10", ("dqn", "state_scale"): scale})
+    code = main(["train-ugat", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ugatlab: error: config:")
+    assert "state_dim" in err
     assert not (tmp_path / "out").exists()
 
 

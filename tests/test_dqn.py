@@ -7,6 +7,7 @@ from ugatlab.dqn import (
     FixedCycleController,
     ReplayBuffer,
     Transition,
+    play_episode,
     train_policy,
 )
 from ugatlab.numnet import ShapeError
@@ -303,6 +304,57 @@ def test_seeded_training_replays_identically():
         result = train_policy(ChainEnv, 5, agent, buf, np.random.default_rng(23))
         traces.append([(r.return_, r.mean_td_loss, r.epsilon) for r in result])
     assert traces[0] == traces[1]
+
+
+class RecordingEnv(ChainEnv):
+    """ChainEnv that records every action it executes."""
+
+    def __init__(self):
+        super().__init__()
+        self.executed = []
+
+    def step(self, action):
+        self.executed.append(action)
+        return super().step(action)
+
+
+def test_play_episode_executes_the_hooked_action_and_keeps_the_policys():
+    env = RecordingEnv()
+    proposed = []
+
+    def hook(state, action):
+        proposed.append(action)
+        return 7
+
+    transitions = list(play_episode(env, lambda s: int(np.argmax(s)), hook))
+    assert env.executed == [7, 7, 7]
+    assert [t.action for t in transitions] == proposed == [0, 1, 2]
+    assert [t.reward for t in transitions] == [-7.0] * 3  # earned by the executed action
+    assert [t.terminal for t in transitions] == [False, False, True]
+    for prev, t in zip(transitions, transitions[1:]):
+        np.testing.assert_array_equal(t.state, prev.next_state)
+
+
+def test_train_policy_replays_the_policys_actions_under_a_hook():
+    envs = []
+
+    def factory():
+        envs.append(RecordingEnv())
+        return envs[-1]
+
+    proposed = []
+
+    def hook(state, action):
+        proposed.append(action)
+        return 7  # outside the agent's 4 actions
+
+    agent = make_agent(n_actions=4, batch_size=4)
+    buf = ReplayBuffer(capacity=32, rng=np.random.default_rng(0))
+    train_policy(factory, 3, agent, buf, np.random.default_rng(1), step_hook=hook)
+    assert [env.executed for env in envs] == [[7, 7, 7]] * 3
+    assert agent.decision_steps == len(buf) == len(proposed) == 9
+    assert [t.action for t in buf.snapshot()] == proposed
+    assert set(proposed) <= {0, 1, 2, 3}
 
 
 def test_fixed_cycle_controller_pattern():

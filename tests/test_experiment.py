@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,14 +143,16 @@ class ScriptedAgent:
 def run_scripted(cfg, uncertainties):
     grounder = ScriptedGrounder(uncertainties)
     train_demand, eval_demands = _demands(cfg)
-    result = _run_grounded_seed(
-        cfg,
-        seed=1,
-        train_demand=train_demand,
-        eval_demands=eval_demands,
-        grounder_factory=lambda c, init_rng, head_rng: grounder,
-        agent_factory=lambda c, rng: ScriptedAgent(c.dqn),
-    )
+    with (
+        mock.patch.object(protocols, "Grounder", lambda c, init_rng, head_rng: grounder),
+        mock.patch.object(protocols, "DqnAgent", lambda dqn, rng: ScriptedAgent(dqn)),
+    ):
+        result = _run_grounded_seed(
+            cfg,
+            seed=1,
+            train_demand=train_demand,
+            eval_demands=eval_demands,
+        )
     return result, grounder
 
 
@@ -299,6 +302,10 @@ def test_protocol_runners_write_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def experiment_with_dqn(**kw):
+    return ExperimentConfig(dqn=DqnConfig(**kw))
+
+
 @pytest.mark.parametrize(
     "config, field, value",
     [
@@ -318,6 +325,21 @@ def test_protocol_runners_write_nothing(tmp_path):
         (DqnConfig, "learning_rate", -1e-3),
         (DqnConfig, "replay_capacity", 0),
         (DqnConfig, "replay_capacity", 10),
+        (DqnConfig, "epsilon_start", math.nan),
+        (DqnConfig, "epsilon_start", 1.5),
+        (DqnConfig, "epsilon_end", math.nan),
+        (DqnConfig, "epsilon_end", -0.1),
+        (DqnConfig, "epsilon_decay_steps", 0),
+        (GroundingConfig, "dropout_rate", 1.0),
+        (GroundingConfig, "dropout_rate", -0.1),
+        (GroundingConfig, "dropout_rate", math.nan),
+        (ExperimentConfig, "rollout_epsilon", math.nan),
+        (ExperimentConfig, "rollout_epsilon", 1.5),
+        (ExperimentConfig, "rollout_epsilon", -0.1),
+        (ExperimentConfig, "direct_episodes", -3),
+        (ExperimentConfig, "pretrain_episodes", -1),
+        (experiment_with_dqn, "n_actions", 9),
+        (experiment_with_dqn, "n_actions", 0),
     ],
 )
 def test_out_of_range_learner_settings_fail_at_construction(config, field, value):
