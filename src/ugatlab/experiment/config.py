@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from ugatlab.dqn import DqnConfig
@@ -62,6 +63,8 @@ class ExperimentConfig:
         for name in ("pretrain_episodes", "direct_episodes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
+        if not (math.isfinite(self.demand_vph) and self.demand_vph > 0):
+            raise ValueError(f"demand_vph must be finite and positive: {self.demand_vph}")
         if not 0.0 <= self.rollout_epsilon <= 1.0:  # NaN fails too
             raise ValueError(f"rollout_epsilon must be in [0, 1]: {self.rollout_epsilon}")
         if self.dqn.state_dim != STATE_DIM:

@@ -34,8 +34,10 @@ class DemandSchedule:
 
 def generate_demand(vehicles_per_hour: float, duration_s: float, seed: int) -> DemandSchedule:
     """Seeded exponential inter-arrivals, movements uniform over the 12 routes."""
-    if vehicles_per_hour <= 0 or duration_s <= 0:
-        raise ValueError("vehicles_per_hour and duration_s must be positive")
+    # NaN or inf would keep the arrival loop below from ever ending
+    for name, value in (("vehicles_per_hour", vehicles_per_hour), ("duration_s", duration_s)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive: {value}")
     rng = np.random.default_rng(seed)
     rate = vehicles_per_hour / 3600.0
     arrivals = []

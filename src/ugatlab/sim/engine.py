@@ -32,6 +32,21 @@ same loop, on each surviving vehicle against the last survivor ahead; the
 gaps within the skipped run are constant, so its violations are kept and
 logged again each tick, in lane order and then pair order, as a full scan
 would log them.
+
+Speeds never exceed max_speed, so a vehicle whose stop point lies at least
+cruise_d ahead is not braked by it: __init__ picks cruise_d just beyond
+max_speed^2 / (2 decel) + max_speed * tick and checks in floats that there
+the safe speed is >= max_speed and max_speed^2 / (2 d) <= decel. Both sides
+are monotone in d, so the check covers every larger d, and such a vehicle
+takes min(v + accel * tick, max_speed) without the square root, exactly as
+the full rule would. Should the float check fail, cruise_d is infinite and
+only an unobstructed vehicle cruises.
+
+Arrivals spawn at the first tick at or after their time, one per lane and
+tick, once the lane entry has room. _spawn keeps the earliest pending arrival
+over all lanes and returns at once while the clock is below it; a lane whose
+entry is blocked keeps its overdue arrival pending, so the next tick scans
+again.
 """
 
 from __future__ import annotations
@@ -101,6 +116,15 @@ def _safe_speed(d: float, decel: float, dt: float) -> float:
     return -bd + math.sqrt(bd * bd + 2.0 * decel * d)
 
 
+def _cruise_distance(params: VehicleParams, dt: float) -> float:
+    """Stop distance at and beyond which no vehicle at or below max_speed is braked."""
+    vmax, decel = params.max_speed, params.decel
+    d = vmax * vmax / (2.0 * decel) + vmax * dt + 1.0  # 1 m beyond the exact bound
+    if _safe_speed(d, decel, dt) >= vmax and vmax * vmax / (2.0 * d) <= decel:
+        return d
+    return math.inf
+
+
 class TrafficSim:
     """Deterministic single-intersection episode with a reset/step interface."""
 
@@ -119,6 +143,7 @@ class TrafficSim:
         self.params = params
         self.demand = demand
         self.config = config
+        self._cruise_d = _cruise_distance(params, config.tick)
         self.reset()
 
     # --- lifecycle -----------------------------------------------------
@@ -137,6 +162,8 @@ class TrafficSim:
         for vid, (t, movement) in enumerate(self.demand.arrivals):
             self._backlog[movement].append((t, vid))
         self._backlog_idx = [0] * N_LANES
+        # earliest pending arrival time over all lanes; _spawn idles below it
+        self._next_arrival = self.demand.arrivals[0][0] if self.demand.arrivals else math.inf
         self.spawned = 0
         self.completed: list[CompletedVehicle] = []
         self.gap_violations: list[tuple[float, int, float]] = []
@@ -226,29 +253,46 @@ class TrafficSim:
     def _spawn(self) -> None:
         p = self.params
         now = self.time
+        if now < self._next_arrival:
+            return
         entry_clearance = p.vehicle_length + p.min_gap
+        next_arrival = math.inf
         for lane_idx in range(N_LANES):
             backlog = self._backlog[lane_idx]
             i = self._backlog_idx[lane_idx]
-            if i >= len(backlog) or backlog[i][0] > now:
+            if i >= len(backlog):
                 continue
-            lane = self.lanes[lane_idx]
-            if lane:
-                d_entry = lane[-1].pos - entry_clearance  # stop point seen from pos 0
-                if d_entry < 0.0:
-                    continue
-                speed = min(p.max_speed, _safe_speed(d_entry, p.decel, self.config.tick))
-            else:
-                speed = p.max_speed
-            vid = backlog[i][1]
-            lane.append(Vehicle(vid, lane_idx, 0.0, speed, now))
-            self._backlog_idx[lane_idx] = i + 1
-            self.spawned += 1
+            if backlog[i][0] <= now:
+                lane = self.lanes[lane_idx]
+                # stop point seen from pos 0; a blocked entry leaves the arrival
+                # due, so the next tick scans again
+                d_entry = lane[-1].pos - entry_clearance if lane else math.inf
+                if d_entry >= 0.0:
+                    speed = min(p.max_speed, _safe_speed(d_entry, p.decel, self.config.tick))
+                    lane.append(Vehicle(backlog[i][1], lane_idx, 0.0, speed, now))
+                    i += 1
+                    self._backlog_idx[lane_idx] = i
+                    self.spawned += 1
+                    if i == len(backlog):
+                        continue
+            next_arrival = min(next_arrival, backlog[i][0])
+        self._next_arrival = next_arrival
 
     def _tick(self, permitted: frozenset[int]) -> None:
         self._spawn()
         p = self.params
         dt = self.config.tick
+        accel = p.accel
+        accel_dt = accel * dt
+        max_speed = p.max_speed
+        decel = p.decel
+        bd = decel * dt  # safe speed at stop distance d: -bd + sqrt(bd2 + two_decel * d)
+        bd2 = bd * bd
+        two_decel = 2.0 * decel
+        emergency_decel = p.emergency_decel
+        startup_delay = p.startup_delay
+        cruise_d = self._cruise_d
+        sqrt = math.sqrt
         stop_line = self.layout.lane_length
         length = p.vehicle_length
         clearance = length + p.min_gap
@@ -268,7 +312,8 @@ class TrafficSim:
                 settled_gaps.clear()
             else:
                 settled = self._settled[lane_idx]
-                gap_violations.extend((stamp, lane_idx, gap) for gap in settled_gaps)
+                if settled_gaps:
+                    gap_violations.extend((stamp, lane_idx, gap) for gap in settled_gaps)
             ahead_pos = lane[settled - 1].pos if settled else inf  # last survivor ahead
             leader_stop = ahead_pos - clearance  # stop point imposed by the vehicle ahead
             completed_any = False
@@ -282,10 +327,12 @@ class TrafficSim:
                 d = stop_at - pos
                 joins = False
 
+                # each min(a, b) below is written as "a, unless b < a", which
+                # returns the same float
                 if d <= STOP_EPS:
                     # pinned at a stop point; hold and keep the startup timer armed
                     new_v = 0.0
-                    veh.startup_timer = p.startup_delay
+                    veh.startup_timer = startup_delay
                     joins = i == settled and not lane_open
                     if joins:
                         settled += 1
@@ -296,17 +343,28 @@ class TrafficSim:
                     else:
                         free = dt - veh.startup_timer
                         veh.startup_timer = 0.0
-                        new_v = min(p.accel * free, p.max_speed)
-                        if d < inf:
-                            new_v = min(new_v, _safe_speed(d, p.decel, dt))
-                elif d == inf:
-                    new_v = min(v + p.accel * dt, p.max_speed)
+                        new_v = accel * free
+                        if max_speed < new_v:
+                            new_v = max_speed
+                        if d < cruise_d:
+                            safe = -bd + sqrt(bd2 + two_decel * d)
+                            if safe < new_v:
+                                new_v = safe
+                elif d >= cruise_d:
+                    new_v = v + accel_dt
+                    if max_speed < new_v:
+                        new_v = max_speed
                 else:
                     desired = v * v / (2.0 * d)
-                    if desired <= p.decel:
-                        new_v = min(v + p.accel * dt, p.max_speed, _safe_speed(d, p.decel, dt))
+                    if desired <= decel:
+                        new_v = v + accel_dt
+                        if max_speed < new_v:
+                            new_v = max_speed
+                        safe = -bd + sqrt(bd2 + two_decel * d)
+                        if safe < new_v:
+                            new_v = safe
                     else:
-                        new_v = v - min(desired, p.emergency_decel) * dt
+                        new_v = v - (emergency_decel if emergency_decel < desired else desired) * dt
                         if new_v < 0.0:
                             new_v = 0.0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 APPROACHES = ("N", "E", "S", "W")
@@ -71,5 +72,5 @@ class IntersectionLayout:
     lane_length: float = 300.0
 
     def __post_init__(self):
-        if self.lane_length <= 0:
-            raise ValueError("lane_length must be positive")
+        if not (math.isfinite(self.lane_length) and self.lane_length > 0):
+            raise ValueError(f"lane_length must be finite and positive: {self.lane_length}")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,9 @@ class VehicleParams:
     min_gap: float = 2.5  # m, bumper-to-bumper floor
 
     def __post_init__(self):
+        for f in fields(self):  # the engine's cruise distance needs finite kinematics
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite: {getattr(self, f.name)}")
         if self.accel <= 0:
             raise ValueError(f"accel must be positive: {self.accel}")
         if not 0 < self.decel <= self.emergency_decel:
@@ -55,8 +59,10 @@ class SimConfig:
     seed: int = 0  # reserved; the engine itself is deterministic
 
     def __post_init__(self):
-        if self.tick <= 0 or self.decision_interval <= 0:
-            raise ValueError("tick and decision_interval must be positive")
+        for name in ("tick", "decision_interval", "episode_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive: {value}")
         ratio = self.decision_interval / self.tick
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(
@@ -67,8 +73,8 @@ class SimConfig:
         yratio = self.yellow_time / self.tick
         if abs(yratio - round(yratio)) > 1e-9:
             raise ValueError(f"tick {self.tick} must divide yellow_time {self.yellow_time}")
-        if self.episode_length <= 0:
-            raise ValueError("episode_length must be positive")
+        if not self.queue_speed_threshold >= 0:  # NaN fails too
+            raise ValueError(f"queue_speed_threshold must be >= 0: {self.queue_speed_threshold}")
 
     @property
     def ticks_per_decision(self) -> int:

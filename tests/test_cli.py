@@ -126,6 +126,16 @@ def test_demand_gen_round_trips(tmp_path):
     assert len(schedule) > 10
 
 
+@pytest.mark.parametrize("flag, value", [("--vph", "nan"), ("--vph", "inf"), ("--duration", "nan")])
+def test_demand_gen_rejects_a_non_finite_rate_or_duration(tmp_path, capsys, flag, value):
+    out = tmp_path / "demand.csv"
+    settings = {"--vph": "1200", "--duration": "120", flag: value}
+    argv = [x for item in settings.items() for x in item]
+    assert main(["demand-gen", *argv, "--out-file", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("ugatlab: error: config:")
+    assert not out.exists()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--cases", "3"]) == 0
     assert "max relative error" in capsys.readouterr().out
@@ -315,6 +325,12 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
         ("experiment", "rollout_epsilon", "nan"),
         ("experiment", "direct_episodes", "-3"),
         ("experiment", "pretrain_episodes", "-1"),
+        ("experiment", "demand_vph", "inf"),
+        ("experiment", "demand_vph", "nan"),
+        ("sim", "episode_length", "nan"),
+        ("sim", "episode_length", "inf"),
+        ("sim", "decision_interval", "inf"),
+        ("sim", "queue_speed_threshold", "nan"),
     ],
 )
 def test_out_of_range_learner_setting_fails_as_config_error(tmp_path, capsys, section, key, value):

@@ -338,6 +338,9 @@ def experiment_with_dqn(**kw):
         (ExperimentConfig, "rollout_epsilon", -0.1),
         (ExperimentConfig, "direct_episodes", -3),
         (ExperimentConfig, "pretrain_episodes", -1),
+        (ExperimentConfig, "demand_vph", math.nan),
+        (ExperimentConfig, "demand_vph", math.inf),
+        (ExperimentConfig, "demand_vph", 0.0),
         (experiment_with_dqn, "n_actions", 9),
         (experiment_with_dqn, "n_actions", 0),
     ],

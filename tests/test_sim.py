@@ -14,6 +14,7 @@ from ugatlab.sim import (
     SCENARIOS,
     SimConfig,
     TrafficSim,
+    VehicleParams,
     generate_demand,
     load_demand,
     movement_index,
@@ -383,6 +384,118 @@ def test_v4_fixed_cycle_episode_signature_is_pinned():
     assert digest == "fc576b1cdbcfba7035d5081c5a65ecf52258babfc97cde1b4f20433e9a3059c2"
 
 
+@pytest.mark.parametrize(
+    "params_name, expected",
+    [
+        ("Default", "85c7c94f711f60ccfc8b14fb7685819ec15750f7f875e251b9aff0ce5e186dce"),
+        ("V1", "88e10c80ab118258faa0a085faffe2303a1bd4c64a703e29ad791c35239b1f99"),
+    ],
+)
+def test_default_and_v1_fixed_cycle_episode_signatures_are_pinned(params_name, expected):
+    # pinned like the V4 trajectory above, so the kernel is held to three rows
+    sim = run_fixed_cycle_episode(params_name)
+    assert hashlib.sha256(sim.state_signature().encode()).hexdigest() == expected
+
+
+# --- cruise path and spawn skip -------------------------------------------------
+
+
+def braking_rule_everywhere(sim):
+    # only an unobstructed vehicle (d == inf) cruises, as before the cruise path
+    sim._cruise_d = math.inf
+
+
+def closed_lane_leaders_beyond_cruise_d(sim):
+    # lane leaders about to be updated under a red signal whose finite stop
+    # distance reaches cruise_d and that are not waiting out a startup delay
+    permitted = ALL_RED if sim.pending_phase is not None else PHASES[sim.phase]
+    return sum(
+        1
+        for lane_idx, lane in enumerate(sim.lanes)
+        if lane
+        and lane_idx not in permitted
+        and sim.layout.lane_length - lane[0].pos >= sim._cruise_d
+        and (lane[0].speed > 0.0 or lane[0].startup_timer <= 0.0)
+    )
+
+
+@pytest.mark.parametrize("params_name", ["Default", "V1", "V4"])
+def test_cruise_path_matches_the_full_braking_rule(params_name):
+    cruisers = []
+    fast = run_fixed_cycle_episode(
+        params_name, lambda sim: cruisers.append(closed_lane_leaders_beyond_cruise_d(sim))
+    )
+    full = run_fixed_cycle_episode(params_name, braking_rule_everywhere)
+    assert sum(cruisers) > 0  # the cruise path ran on finite stop distances
+    assert fast.state_signature() == full.state_signature()
+    assert fast.completed == full.completed
+    assert fast.signal_violations == full.signal_violations
+    assert fast.gap_violations == full.gap_violations
+
+
+@pytest.mark.parametrize("params_name", sorted(SCENARIOS))
+def test_cruise_distance_bounds_hold_in_floats(params_name):
+    p = SCENARIOS[params_name]
+    sim = make_sim(params_name)
+    d, dt = sim._cruise_d, sim.config.tick
+    assert d < sim.layout.lane_length  # finite, so the path can run
+    bd = p.decel * dt
+    assert -bd + math.sqrt(bd * bd + 2.0 * p.decel * d) >= p.max_speed
+    assert p.max_speed * p.max_speed / (2.0 * d) <= p.decel
+
+
+def spawn_due_now(sim):
+    sim._next_arrival = 0.0  # every tick scans every lane
+
+
+@pytest.mark.parametrize("params_name", ["Default", "V4"])
+def test_spawn_skip_matches_a_full_scan(params_name):
+    idle = []
+    fast = run_fixed_cycle_episode(params_name, lambda sim: idle.append(sim.time < sim._next_arrival))
+    full = run_fixed_cycle_episode(params_name, spawn_due_now)
+    assert any(idle)  # the skip did run
+    assert fast.spawned == full.spawned
+    assert fast.state_signature() == full.state_signature()
+    assert fast.completed == full.completed
+
+
+def test_blocked_entry_keeps_the_spawn_scan_running():
+    # the N-left entry is blocked at its arrival time while the only other
+    # arrival lies in the future; the arrival must enter once the entry clears
+    n_left, s_through = movement_index("N", "left"), movement_index("S", "through")
+    demand = DemandSchedule(arrivals=((0.0, n_left), (50.0, s_through)))
+    sims = []
+    for before_tick in (lambda sim: None, spawn_due_now):
+        sim = make_sim("Default", demand=demand)
+        put_vehicle(sim, n_left, 2.0, 0.0)  # inside the entry clearance
+        for _ in range(60):
+            before_tick(sim)
+            sim._tick(PHASES[0])
+            if sim.tick_count == 1:
+                assert sim.spawned == 1  # the entry was blocked
+                assert sim._next_arrival == 0.0  # so the arrival stays due
+        sims.append(sim)
+    fast, full = sims
+    assert fast.state_signature() == full.state_signature()
+    entered = {v.vid: v.spawn_time for lane in fast.lanes for v in lane}
+    assert 0.0 < entered[0] < 50.0 and entered[1] == 50.0
+
+
+def test_reset_restores_the_spawn_skip_state():
+    demand = generate_demand(2000, 300, seed=3)
+    sim = make_sim(demand=demand, episode_length=300.0)
+    assert sim._next_arrival == demand.arrivals[0][0]
+    signatures = []
+    for _ in range(2):
+        while not sim.done:
+            sim.step(0)
+        signatures.append(sim.state_signature())
+        sim.reset()
+        assert sim._next_arrival == demand.arrivals[0][0]
+    assert signatures[0] == signatures[1]
+    assert make_sim()._next_arrival == math.inf  # no arrivals, nothing to scan for
+
+
 # --- metrics -------------------------------------------------------------------
 
 
@@ -510,6 +623,49 @@ def test_demand_header_is_validated(tmp_path):
 def test_demand_reward_requires_positive_rate():
     with pytest.raises(ValueError):
         generate_demand(0, 100, seed=0)
+
+
+# checked at construction only: given NaN or inf, the arrival loop would never end
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_demand_rejects_non_finite_rate_or_duration(bad):
+    with pytest.raises(ValueError, match="vehicles_per_hour"):
+        generate_demand(bad, 100, seed=0)
+    with pytest.raises(ValueError, match="duration_s"):
+        generate_demand(2000, bad, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field", ["accel", "decel", "emergency_decel", "startup_delay", "max_speed", "vehicle_length", "min_gap"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vehicle_params_reject_non_finite_fields(field, bad):
+    kwargs = dict(accel=1.0, decel=2.5, emergency_decel=6.0, startup_delay=0.5)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        VehicleParams(**{**kwargs, field: bad})
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("episode_length", math.nan),
+        ("episode_length", math.inf),
+        ("tick", math.nan),
+        ("tick", math.inf),
+        ("decision_interval", math.nan),
+        ("decision_interval", math.inf),
+        ("queue_speed_threshold", math.nan),
+        ("queue_speed_threshold", -0.1),
+    ],
+)
+def test_sim_config_rejects_non_finite_or_negative_settings(field, bad):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_layout_rejects_non_finite_lane_length(bad):
+    with pytest.raises(ValueError, match="lane_length"):
+        IntersectionLayout(lane_length=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
