@@ -136,6 +136,19 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
+    def __reduce__(self):
+        # pickle and deepcopy carry the filled slots only; copying the whole
+        # ring would write the pages of every slot not yet pushed
+        filled = tuple(a[: self._size] for a in self._arrays)
+        return ReplayBuffer, (self.capacity, self._rng), (filled, self._write)
+
+    def __setstate__(self, state) -> None:
+        filled, self._write = state
+        self._size = len(filled[0]) if filled else 0
+        self._arrays = tuple(np.empty((self.capacity, *a.shape[1:]), dtype=a.dtype) for a in filled)
+        for ring, part in zip(self._arrays, filled):
+            ring[: self._size] = part
+
 
 class DqnAgent:
     def __init__(self, config: DqnConfig, rng: np.random.Generator):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -192,9 +193,13 @@ def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -
 # --- shared plumbing --------------------------------------------------------------
 
 
+def _train_demand(cfg: ExperimentConfig) -> DemandSchedule:
+    return generate_demand(cfg.demand_vph, cfg.sim.episode_length, cfg.demand_seed)
+
+
 def _demands(cfg: ExperimentConfig) -> tuple[DemandSchedule, list[DemandSchedule]]:
     """One training schedule plus held-out evaluation schedules."""
-    train = generate_demand(cfg.demand_vph, cfg.sim.episode_length, cfg.demand_seed)
+    train = _train_demand(cfg)
     evals = [
         generate_demand(cfg.demand_vph, cfg.sim.episode_length, cfg.demand_seed + 1000 + i)
         for i in range(cfg.eval_episodes)
@@ -225,23 +230,78 @@ def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_t
     return SeedResult(seed, sim_eval, real_eval, curve, audit_rows or [], alpha_trace or [])
 
 
+# --- pretraining, shared by every arm of a seed ---------------------------------------
+
+
+@dataclass
+class PolicyState:
+    """A seed's policy in training: its streams, agent, replay buffer and curve.
+
+    A copy (copy.deepcopy, or pickling to a worker) shares nothing with the
+    original, so each arm can continue its own copy of one pretraining.
+    """
+
+    streams: dict[str, np.random.Generator]
+    agent: DqnAgent
+    buffer: ReplayBuffer
+    curve: list[EpisodeRecord] = field(default_factory=list)
+
+    def train(self, env_factory, episodes: int, step_hook=None) -> None:
+        """train_policy on this state; the curve numbers its episodes on from the last."""
+        trained = train_policy(
+            env_factory, episodes, self.agent, self.buffer, self.streams["act"], step_hook=step_hook
+        )
+        for r in trained:
+            self.curve.append(replace(r, episode=len(self.curve)))
+
+
+def _sim_factory(cfg: ExperimentConfig, train_demand: DemandSchedule):
+    return _env_factory(cfg, "Default", train_demand, cfg.training_sim)
+
+
+def pretrain(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, episodes: int) -> PolicyState:
+    """A fresh policy for seed, trained for episodes in the sim twin.
+
+    Every arm of a seed starts here: the grounded arms with
+    cfg.pretrain_episodes, direct transfer with all of its budget.
+    """
+    streams = seed_streams(seed)
+    state = PolicyState(
+        streams,
+        DqnAgent(cfg.dqn, streams["agent_init"]),
+        ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"]),
+    )
+    state.train(_sim_factory(cfg, train_demand), episodes)
+    return state
+
+
 # --- direct transfer ---------------------------------------------------------------
 
 
-def train_direct_policy(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule):
-    """Train a policy in the sim twin for the direct-transfer budget."""
-    streams = seed_streams(seed)
-    agent = DqnAgent(cfg.dqn, streams["agent_init"])
-    buffer = ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"])
-    factory = _env_factory(cfg, "Default", train_demand, cfg.training_sim)
-    return agent, train_policy(factory, cfg.direct_episodes, agent, buffer, streams["act"])
+def train_direct_policy(
+    cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, pretrained: PolicyState | None = None
+):
+    """Train a policy in the sim twin for the direct-transfer budget.
+
+    pretrained, when given, is this seed's state after its first episodes of
+    the same training; it is continued in place for the rest of the budget.
+    """
+    if pretrained is None:
+        state = pretrain(cfg, seed, train_demand, cfg.direct_episodes)
+    elif len(pretrained.curve) > cfg.direct_episodes:
+        raise ValueError(f"pretrained state is past the direct_episodes budget of {cfg.direct_episodes}")
+    else:
+        state = pretrained
+        state.train(_sim_factory(cfg, train_demand), cfg.direct_episodes - len(state.curve))
+    return state.agent, state.curve
 
 
-def run_direct_transfer(cfg: ExperimentConfig) -> GapReport:
+def run_direct_transfer(cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None) -> GapReport:
     train_demand, eval_demands = _demands(cfg)
+    pretrained = pretrained or {}
     per_seed = []
     for seed in cfg.seeds:
-        agent, curve = train_direct_policy(cfg, seed, train_demand)
+        agent, curve = train_direct_policy(cfg, seed, train_demand, pretrained.get(seed))
         per_seed.append(_seed_result(cfg, seed, agent, eval_demands, curve))
     return build_gap_report("direct", cfg.scenario, per_seed)
 
@@ -287,22 +347,22 @@ def _run_grounded_seed(
     seed: int,
     train_demand: DemandSchedule,
     eval_demands,
+    pretrained: PolicyState | None = None,
 ) -> SeedResult:
     """One seed of the grounded-training loop.
 
-    Pre-train the policy, then per iteration: collect sim and real rollouts,
-    refit the transformation models, clear the uncertainty log, run E
-    grounded policy-training episodes of T steps (gating every step, learning
-    every step), and finally update alpha under the dynamic rule. gat pins
-    alpha at +inf and ugat_static at its constant; both skip the update.
+    Pre-train the policy (or continue pretrained, this seed's state after
+    cfg.pretrain_episodes, in place), then per iteration: collect sim and
+    real rollouts, refit the transformation models, clear the uncertainty
+    log, run E grounded policy-training episodes of T steps (gating every
+    step, learning every step), and finally update alpha under the dynamic
+    rule. gat pins alpha at +inf and ugat_static at its constant; both skip
+    the update.
     """
-    streams = seed_streams(seed)
-    agent = DqnAgent(cfg.dqn, streams["agent_init"])
-    buffer = ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"])
-    sim_factory = _env_factory(cfg, "Default", train_demand, cfg.training_sim)
+    state = pretrained if pretrained is not None else pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
+    streams, agent = state.streams, state.agent
+    sim_factory = _sim_factory(cfg, train_demand)
     real_factory = _env_factory(cfg, cfg.scenario, train_demand, cfg.training_sim)
-
-    curve = train_policy(sim_factory, cfg.pretrain_episodes, agent, buffer, streams["act"])
 
     grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
     rate = _initial_rate(cfg)
@@ -333,35 +393,77 @@ def _run_grounded_seed(
         grounder.fit(d_real, d_sim, streams["grounder_train"])
 
         rate.logged.clear()
-        trained = train_policy(
-            sim_factory, cfg.epochs_per_iteration, agent, buffer, streams["act"], step_hook=grounded_step
-        )
-        for r in trained:
-            curve.append(replace(r, episode=len(curve)))
+        state.train(sim_factory, cfg.epochs_per_iteration, step_hook=grounded_step)
         if cfg.algorithm == "ugat":
             update_alpha(rate)
         alpha_trace.append((iteration, rate.alpha))
 
-    return _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows, alpha_trace)
+    return _seed_result(cfg, seed, agent, eval_demands, state.curve, audit_rows, alpha_trace)
 
 
-def run_ugat(cfg: ExperimentConfig) -> GapReport:
+def run_ugat(cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None) -> GapReport:
+    """The grounded protocol; pretrained maps a seed to its state to continue in place."""
     if cfg.algorithm == "direct":
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
     train_demand, eval_demands = _demands(cfg)
-    per_seed = [_run_grounded_seed(cfg, seed, train_demand, eval_demands) for seed in cfg.seeds]
+    pretrained = pretrained or {}
+    per_seed = [
+        _run_grounded_seed(cfg, seed, train_demand, eval_demands, pretrained.get(seed)) for seed in cfg.seeds
+    ]
     return build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)
 
 
 # --- batteries: ablation, sweep, head comparison ----------------------------------------
 
 
-def _run_arm(cfg: ExperimentConfig) -> GapReport:
-    return run_direct_transfer(cfg) if cfg.algorithm == "direct" else run_ugat(cfg)
+def _pretraining_key(cfg: ExperimentConfig, seed: int) -> tuple | None:
+    """Everything that feeds a seed's pretraining; None when the arm has none to share.
+
+    A direct arm continues the pretraining only when its budget covers it.
+    """
+    short_direct = cfg.algorithm == "direct" and cfg.direct_episodes < cfg.pretrain_episodes
+    if cfg.pretrain_episodes == 0 or short_direct:
+        return None
+    return (
+        cfg.dqn,
+        cfg.training_sim,
+        cfg.layout,
+        cfg.demand_vph,
+        cfg.demand_seed,
+        cfg.sim.episode_length,
+        seed,
+        cfg.pretrain_episodes,
+    )
+
+
+def _shared_pretrainings(configs: Sequence[ExperimentConfig]) -> dict[tuple, tuple[ExperimentConfig, int]]:
+    """Each pretraining that more than one arm starts from, with a (cfg, seed) that makes it."""
+    users: dict[tuple, list[tuple[ExperimentConfig, int]]] = {}
+    for cfg in configs:
+        for seed in cfg.seeds:
+            key = _pretraining_key(cfg, seed)
+            if key is not None:
+                users.setdefault(key, []).append((cfg, seed))
+    return {key: found[0] for key, found in users.items() if len(found) > 1}
+
+
+def _pretrain_shared(maker: tuple[ExperimentConfig, int]) -> PolicyState:
+    cfg, seed = maker
+    return pretrain(cfg, seed, _train_demand(cfg), cfg.pretrain_episodes)
+
+
+def _run_arm(cfg: ExperimentConfig, pretrained: dict[int, PolicyState]) -> GapReport:
+    """One arm's report; it continues its own copy of each shared pretrained state."""
+    own = copy.deepcopy(pretrained)
+    return run_direct_transfer(cfg, own) if cfg.algorithm == "direct" else run_ugat(cfg, own)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
     """Run labelled protocol arms on up to `jobs` worker processes.
+
+    A pretraining that several arms start from (same seed, DQN, training
+    sim and demand, and episode count) runs once, first, and every such arm
+    continues its own copy: the bytes are those of each arm run alone.
 
     The runners only compute; this is the one writer of the run tree. The arms
     share one output root and one demand configuration, so the shared
@@ -375,10 +477,18 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
     out_dir = first.out_dir
     if out_dir is not None:
         io.write_demands(out_dir, *_demands(first))
+    configs = [cfg for _, cfg in arms]
+    shared = _shared_pretrainings(configs)
     parallel = jobs > 1 and len(arms) > 1
     rows = []
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        reports = (pool.map if parallel else map)(_run_arm, [cfg for _, cfg in arms])
+        mapper = pool.map if parallel else map
+        states = dict(zip(shared, mapper(_pretrain_shared, shared.values())))
+        per_arm = [
+            {seed: states[key] for seed in cfg.seeds if (key := _pretraining_key(cfg, seed)) in states}
+            for cfg in configs
+        ]
+        reports = mapper(_run_arm, configs, per_arm)
         for (label, cfg), report in zip(arms, reports):
             if out_dir is not None:
                 for result in report.per_seed:

@@ -396,7 +396,7 @@ class TrafficSim:
             self._settled[lane_idx] = settled
 
         self.tick_count += 1
-        active = sum(len(lane) for lane in self.lanes)
+        active = sum(map(len, self.lanes))
         if self.spawned != active + len(self.completed):
             raise RuntimeError(
                 f"conservation broken at t={self.time}: spawned {self.spawned} != "

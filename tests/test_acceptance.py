@@ -4,21 +4,22 @@ The heavy end-to-end protocols (criteria 6-8) share module-scoped fixtures;
 run with -s to watch the per-criterion lines appear.
 """
 
+import copy
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from ugatlab.dqn import DqnAgent, DqnConfig, FixedCycleController, ReplayBuffer, train_policy
+from ugatlab.dqn import DqnConfig, FixedCycleController
 from ugatlab.experiment import ExperimentConfig, io, protocols, run_ugat
 from ugatlab.experiment.protocols import (
     _demands,
     _run_grounded_seed,
     _seed_result,
     build_gap_report,
+    pretrain,
     run_direct_transfer,
-    seed_streams,
     train_direct_policy,
 )
 from ugatlab.grounding import GroundingConfig, UncertainAction, edl_uncertainty
@@ -349,14 +350,26 @@ def desk_cfg(**kw):
 
 
 @pytest.fixture(scope="module")
-def direct_policies():
-    """Three Default-trained policies plus their evaluations vs V1 and V4."""
+def pretrained():
+    """Each seed's policy after the desk-scale pretraining, where every arm of it starts."""
+    cfg = desk_cfg()
+    train_demand, _ = _demands(cfg)
+    return {seed: pretrain(cfg, seed, train_demand, cfg.pretrain_episodes) for seed in SEEDS}
+
+
+@pytest.fixture(scope="module")
+def direct_policies(pretrained):
+    """Three Default-trained policies plus their evaluations vs V1 and V4.
+
+    Each continues a copy of its seed's pretraining for the rest of the
+    direct-transfer budget, which is the policy the full budget alone trains.
+    """
     cfg = desk_cfg()
     train_demand, eval_demands = _demands(cfg)
     agents = {}
     by_scenario = {}
     for seed in SEEDS:
-        agents[seed], _curve = train_direct_policy(cfg, seed, train_demand)
+        agents[seed], _curve = train_direct_policy(cfg, seed, train_demand, copy.deepcopy(pretrained[seed]))
     for scenario in ("V1", "V4"):
         cfg_s = desk_cfg(scenario=scenario)
         per_seed = [
@@ -368,18 +381,21 @@ def direct_policies():
 
 @pytest.fixture(scope="module")
 def grounded_reports():
-    """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha."""
-    out = {}
-    for label, algorithm, head, alpha in (
-        ("edl", "ugat", "edl", None),
-        ("dropout", "ugat", "dropout", None),
-        ("ensemble", "ugat", "ensemble", None),
-        ("gat", "gat", "logits", None),
-        ("static_0.5", "ugat_static", "edl", 0.5),
-    ):
-        cfg = desk_cfg(algorithm=algorithm, head=head, static_alpha=alpha)
-        out[label] = run_ugat(cfg)
-    return out
+    """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha.
+
+    One battery: run_arms pretrains each seed once for all five arms.
+    """
+    arms = [
+        (label, desk_cfg(algorithm=algorithm, head=head, static_alpha=alpha))
+        for label, algorithm, head, alpha in (
+            ("edl", "ugat", "edl", None),
+            ("dropout", "ugat", "dropout", None),
+            ("ensemble", "ugat", "ensemble", None),
+            ("gat", "gat", "logits", None),
+            ("static_0.5", "ugat_static", "edl", 0.5),
+        )
+    ]
+    return dict(protocols.run_arms(arms))
 
 
 def test_criterion_6_gap_existence(direct_policies):
@@ -448,16 +464,12 @@ def test_criterion_8_head_interchangeability(direct_policies, grounded_reports):
 # --- criterion 9: DQN sanity ----------------------------------------------------------
 
 
-def test_criterion_9_dqn_beats_fixed_cycle():
+def test_criterion_9_dqn_beats_fixed_cycle(pretrained):
     cfg = desk_cfg()
     train_demand, _ = _demands(cfg)
-    sim_cfg = cfg.training_sim
-
-    def env_factory():
-        return TrafficSim(cfg.layout, SCENARIOS["Default"], train_demand, sim_cfg)
+    env = TrafficSim(cfg.layout, SCENARIOS["Default"], train_demand, cfg.training_sim)
 
     cycle = FixedCycleController(dwell=3)
-    env = env_factory()
     env.reset()
     cycle_return = 0.0
     done = False
@@ -465,12 +477,11 @@ def test_criterion_9_dqn_beats_fixed_cycle():
         _, r, done = env.step(cycle.act())
         cycle_return += r
 
+    # the pretraining is 100 training episodes in this environment, from each seed's streams
     wins = []
     for seed in SEEDS:
-        streams = seed_streams(seed)
-        agent = DqnAgent(cfg.dqn, streams["agent_init"])
-        buffer = ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"])
-        result = train_policy(env_factory, 100, agent, buffer, streams["act"])
+        result = pretrained[seed].curve
+        assert len(result) == 100
         final10 = float(np.mean([r.return_ for r in result[-10:]]))
         wins.append((final10, final10 > cycle_return))
     passed = all(ok for _, ok in wins)

@@ -11,6 +11,7 @@ from ugatlab.cli import (
     main,
     make_parser,
 )
+from ugatlab.experiment import protocols
 from ugatlab.sim import N_LANES, N_PHASES, load_demand
 
 TINY = """
@@ -340,6 +341,20 @@ def test_out_of_range_learner_setting_fails_as_config_error(tmp_path, capsys, se
     err = capsys.readouterr().err
     assert err.startswith("ugatlab: error: config:")
     assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_demand_above_the_admission_limit_fails_before_any_demand_is_drawn(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("generate_demand ran")
+
+    monkeypatch.setattr(protocols, "generate_demand", never)
+    cfg = tiny_with(tmp_path / "bad.cfg", {("experiment", "demand_vph"): "1e8"})
+    code = main(["train-ugat", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ugatlab: error: config:")
+    assert "demand_vph" in err
     assert not (tmp_path / "out").exists()
 
 

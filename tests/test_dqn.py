@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,48 @@ def test_replay_push_copies_the_transition():
     states, _, _, next_states, _ = buf.sample(1)
     assert np.array_equal(states, [[1.0, 2.0]])
     assert np.array_equal(next_states, [[3.0, 4.0]])
+
+
+def flat(t):
+    return (t.state.tolist(), t.action, t.reward, t.next_state.tolist(), t.terminal)
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))])
+@pytest.mark.parametrize("filled", [0, 3, 7, 11])  # empty, partial, exactly full, wrapped
+def test_replay_copy_pushes_and_samples_like_the_original(copier, filled):
+    data = np.random.default_rng(5)
+    items = [
+        tr(data.normal(size=3), i % 8, data.normal(), data.normal(size=3), terminal=i % 4 == 0)
+        for i in range(filled + 6)
+    ]
+    original = ReplayBuffer(capacity=7, rng=np.random.default_rng(9))
+    for item in items[:filled]:
+        original.push(item)
+    clone = copier(original)
+    assert (clone.capacity, len(clone), clone._write) == (7, len(original), original._write)
+    assert [a.shape for a in clone._arrays] == [a.shape for a in original._arrays]
+    for item in items[filled:]:  # the clone's later pushes land where the original's do
+        original.push(item)
+        clone.push(item)
+        n = min(2, len(original))
+        for got, want in zip(clone.sample(n), original.sample(n), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    assert [flat(t) for t in clone.snapshot()] == [flat(t) for t in original.snapshot()]
+
+
+def test_replay_copy_is_independent_of_the_original():
+    original = ReplayBuffer(capacity=4, rng=np.random.default_rng(2))
+    for i in range(5):  # wrapped once
+        original.push(tr([i, i], i % 8, float(i), [i + 1, i + 1]))
+    before = [flat(t) for t in original.snapshot()]
+    rng_state = original._rng.bit_generator.state
+    clone = copy.deepcopy(original)
+    clone.push(tr([9, 9], 3, 9.0, [9, 9], terminal=True))
+    clone.sample(3)
+    assert [flat(t) for t in original.snapshot()] == before
+    assert original._rng.bit_generator.state == rng_state
+    assert original._write == 1 and clone._write == 2
 
 
 def test_replay_rejects_a_state_of_another_shape():

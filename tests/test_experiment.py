@@ -262,11 +262,109 @@ def test_parallel_ablation_equals_serial(tmp_path):
     assert run_tree(tmp_path / "parallel") == serial_tree
 
 
+def shared_pretraining_arms():
+    cfg = tiny_cfg(seeds=(1, 2), pretrain_episodes=2, direct_episodes=3)
+    return [
+        ("edl", cfg),
+        ("dropout", replace(cfg, head="dropout")),
+        ("gat", replace(cfg, algorithm="gat", head="logits")),
+        ("direct", replace(cfg, algorithm="direct")),  # continues the shared pretraining
+        ("direct_short", replace(cfg, algorithm="direct", direct_episodes=1)),  # trains on its own
+    ]
+
+
+def run_recorded(monkeypatch, fn):
+    """fn()'s result, each evaluated agent's Q and target bytes, and the seed of each pretrain()."""
+    q_bytes, pretrained_seeds = [], []
+    seed_result, pretrain = protocols._seed_result, protocols.pretrain
+
+    def recording_seed_result(cfg, seed, agent, *rest):
+        q_bytes.append(agent.q_model.params.tobytes() + agent.target_model.params.tobytes())
+        return seed_result(cfg, seed, agent, *rest)
+
+    def recording_pretrain(cfg, seed, *rest):
+        pretrained_seeds.append(seed)
+        return pretrain(cfg, seed, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "_seed_result", recording_seed_result)
+        m.setattr(protocols, "pretrain", recording_pretrain)
+        result = fn()
+    return result, q_bytes, pretrained_seeds
+
+
+def arm_fingerprint(report, q_bytes):
+    return [
+        (
+            sr.seed,
+            [tuple(r) for r in sr.audit_rows],
+            sr.alpha_trace,
+            sr.sim,
+            sr.real,
+            [astuple(r) for r in sr.training_curve],
+            q,
+        )
+        for sr, q in zip(report.per_seed, q_bytes, strict=True)
+    ]
+
+
+def run_arms_fingerprints(monkeypatch, arms):
+    rows, q_bytes, pretrained_seeds = run_recorded(monkeypatch, lambda: protocols.run_arms(arms))
+    n = len(arms[0][1].seeds)
+    prints = {label: arm_fingerprint(r, q_bytes[i * n : (i + 1) * n]) for i, (label, r) in enumerate(rows)}
+    return prints, pretrained_seeds
+
+
+def test_shared_pretraining_gives_every_arm_the_bytes_it_gets_alone(monkeypatch):
+    arms = shared_pretraining_arms()
+    shared, pretrained_seeds = run_arms_fingerprints(monkeypatch, arms)
+    # one shared pretraining per seed, then direct_short's own per seed
+    assert pretrained_seeds == [1, 2, 1, 2]
+    alone_pretrainings = []
+    for label, cfg in arms:
+        runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
+        report, q_bytes, seeds = run_recorded(monkeypatch, lambda: runner(cfg))
+        alone_pretrainings += seeds
+        assert shared[label] == arm_fingerprint(report, q_bytes), label
+    assert len(alone_pretrainings) == 10
+    assert len(shared["direct"][0][5]) == 3 and len(shared["direct_short"][0][5]) == 1
+    assert [r[0] for r in shared["edl"][0][5]] == list(range(4))  # 2 pretrained + 2 grounded
+
+    reversed_order, _ = run_arms_fingerprints(monkeypatch, arms[::-1])
+    assert reversed_order == shared
+
+
+def test_only_a_pretraining_that_several_arms_start_from_is_shared():
+    cfg = tiny_cfg(pretrain_episodes=1, seeds=(1, 2))
+    shared = protocols._shared_pretrainings
+    assert shared([cfg]) == {}
+    assert shared([replace(cfg, pretrain_episodes=0)] * 2) == {}
+    assert shared([cfg, replace(cfg, algorithm="direct", direct_episodes=0)]) == {}
+    for differs in (
+        {"demand_seed": 4},
+        {"demand_vph": 900.0},
+        {"steps_per_episode": 4},
+        {"pretrain_episodes": 2},
+        {"dqn": DqnConfig(batch_size=8, replay_capacity=64)},
+    ):
+        assert shared([cfg, replace(cfg, **differs)]) == {}, differs
+    makers = shared([cfg, replace(cfg, scenario="V4", head="dropout", seeds=(2, 3))])
+    assert [seed for _, seed in makers.values()] == [2]  # seeds 1 and 3 have one arm each
+
+
+def test_direct_transfer_refuses_a_state_past_its_budget():
+    cfg = tiny_cfg(algorithm="direct", direct_episodes=1)
+    train_demand, _ = _demands(cfg)
+    state = protocols.pretrain(cfg, 1, train_demand, episodes=2)
+    with pytest.raises(ValueError, match="direct_episodes"):
+        protocols.train_direct_policy(cfg, 1, train_demand, state)
+
+
 def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monkeypatch):
     cfg = tiny_cfg(algorithm="direct", out_dir=str(tmp_path))
     seen = []
 
-    def fake_arm(arm_cfg):
+    def fake_arm(arm_cfg, pretrained=None):
         seen.append(sorted(p.name for p in (tmp_path / "demands").glob("*")))
         return protocols.GapReport(arm_cfg.algorithm, arm_cfg.scenario, (), [], {})
 
@@ -341,6 +439,7 @@ def experiment_with_dqn(**kw):
         (ExperimentConfig, "demand_vph", math.nan),
         (ExperimentConfig, "demand_vph", math.inf),
         (ExperimentConfig, "demand_vph", 0.0),
+        (ExperimentConfig, "demand_vph", 1e8),
         (experiment_with_dqn, "n_actions", 9),
         (experiment_with_dqn, "n_actions", 0),
     ],
@@ -348,6 +447,13 @@ def experiment_with_dqn(**kw):
 def test_out_of_range_learner_settings_fail_at_construction(config, field, value):
     with pytest.raises(ValueError, match=field):
         config(**{field: value})
+
+
+def test_demand_vph_bound_is_one_spawn_per_lane_and_tick():
+    assert ExperimentConfig(demand_vph=43_200.0).demand_vph == 43_200.0
+    with pytest.raises(ValueError, match="demand_vph"):
+        ExperimentConfig(demand_vph=43_200.5)
+    assert ExperimentConfig(demand_vph=86_400.0, sim=SimConfig(tick=0.5)).demand_vph == 86_400.0
 
 
 @pytest.mark.parametrize("alpha", [-math.inf, math.nan, -0.1])
