@@ -31,8 +31,8 @@ from ugatlab.experiment import (
 from ugatlab.experiment.config import NON_EXPERIMENT_KEYS
 from ugatlab.experiment.protocols import build_gap_report, run_arms
 from ugatlab.grounding import GroundingConfig
-from ugatlab.numnet import MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
-from ugatlab.sim import SimConfig, generate_demand, save_demand
+from ugatlab.numnet import gradcheck, random_cases
+from ugatlab.sim import N_LANES, SimConfig, generate_demand, save_demand
 
 DEFAULT_ALPHAS = (0.2, 0.4, 0.5, 0.6, 0.8)
 
@@ -63,12 +63,6 @@ def _parse_value(raw: str, ftype):
     if typing.get_origin(ftype) is tuple:
         item = typing.get_args(ftype)[0]
         return tuple(item(v) for v in raw.split(",") if v.strip())
-    if ftype is bool:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValidationFailure(f"expected a boolean, got {raw!r}")
     return ftype(raw)
 
 
@@ -201,39 +195,23 @@ def cmd_gap_report(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Randomized gradient checks of the MLP kernel under all three losses."""
-    rng = np.random.default_rng(args.seed)
     worst = 0.0
     cases = 0
-    for _ in range(args.cases):
-        sizes = (int(rng.integers(3, 7)), int(rng.integers(4, 10)), int(rng.integers(2, 6)))
-        x = rng.normal(size=sizes[0])
-        t = int(rng.integers(sizes[-1]))
-        target = rng.normal(size=sizes[-1])
-        checks = [
-            (MlpSpec(layer_sizes=sizes), lambda y: mse_loss(y, target)),
-            (MlpSpec(layer_sizes=sizes), lambda y: cce_loss(y, t)),
-            (
-                MlpSpec(layer_sizes=sizes, output_activation="relu"),
-                lambda y: edl_loss(y, t, anneal=0.5),
-            ),
-        ]
-        for spec, loss in checks:
-            model = init_model(spec, rng)
-            res = gradcheck(model, loss, x, tolerance=args.tolerance)
-            worst = max(worst, res.max_rel_error)
-            cases += 1
-            if not res.passed:
-                print(
-                    f"ugatlab: error: gradcheck: rel error {res.max_rel_error:g} at {res.worst}",
-                    file=sys.stderr,
-                )
-                return 2
+    for model, loss, x in random_cases(np.random.default_rng(args.seed), args.cases):
+        res = gradcheck(model, loss, x, tolerance=args.tolerance)
+        worst = max(worst, res.max_rel_error)
+        cases += 1
+        if not res.passed:
+            return _fail("gradcheck", f"rel error {res.max_rel_error:g} at {res.worst}", 2)
     if not args.quiet:
         print(f"gradcheck: {cases} cases, max relative error {worst:.3g} < {args.tolerance:g}")
     return 0
 
 
 def cmd_demand_gen(args) -> int:
+    max_vph = SimConfig().max_demand_vph
+    if args.vph > max_vph:
+        raise ValidationFailure(f"--vph must be <= {max_vph:g} ({N_LANES} lanes, one spawn a tick): {args.vph}")
     schedule = generate_demand(args.vph, args.duration, args.seed)
     save_demand(schedule, args.out_file)
     if not args.quiet:
@@ -244,13 +222,14 @@ def cmd_demand_gen(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, head: bool = False, alpha: bool = False):
+def _add_common(p: argparse.ArgumentParser, head: bool = False, alpha: bool = False, jobs: bool = False):
     p.add_argument("--config", help="structured-text config file")
     p.add_argument("--out", help="output directory (default $UGATLAB_OUT or ./runs)")
     p.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
     p.add_argument("--scenario", help="environment variant playing reality (Default..V4)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel protocol arms")
     p.add_argument("--quiet", action="store_true")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1, help="parallel protocol arms")
     if head:
         p.add_argument("--head", help="uncertainty head: edl, dropout, ensemble, logits")
     if alpha:
@@ -273,15 +252,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train_ugat)
 
     p = sub.add_parser("ablate", help="ugat / fixed-alpha / vanilla / no-grounding table")
-    _add_common(p, head=True)
+    _add_common(p, head=True, jobs=True)
     p.set_defaults(handler=cmd_ablate)
 
     p = sub.add_parser("sweep-alpha", help="static grounding rates vs the dynamic rule")
-    _add_common(p, head=True, alpha=True)
+    _add_common(p, head=True, alpha=True, jobs=True)
     p.set_defaults(handler=cmd_sweep_alpha)
 
     p = sub.add_parser("compare-uncertainty", help="edl vs dropout vs ensemble vs vanilla")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(handler=cmd_compare_uncertainty)
 
     p = sub.add_parser("gap-report", help="merge completed run dirs into a gap table")

@@ -115,24 +115,6 @@ class ReplayBuffer:
         idx = self._rng.choice(len(self), size=n, replace=False)
         return tuple(a.take(idx, axis=0) for a in self._arrays)
 
-    def snapshot(self) -> list[Transition]:
-        """Contents in insertion order (oldest first), as fresh Transitions."""
-        if not self._size:
-            return []
-        states, actions, rewards, next_states, live = self._arrays
-        start = self._write if self._size == self.capacity else 0
-        order = [(start + i) % self.capacity for i in range(self._size)]
-        return [
-            Transition(
-                states[k].copy(),
-                int(actions[k]),
-                float(rewards[k]),
-                next_states[k].copy(),
-                bool(live[k] == 0.0),
-            )
-            for k in order
-        ]
-
     def __len__(self) -> int:
         return self._size
 

@@ -65,8 +65,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
         if not (math.isfinite(self.demand_vph) and self.demand_vph > 0):
             raise ValueError(f"demand_vph must be finite and positive: {self.demand_vph}")
-        # the engine admits at most one vehicle per lane and tick; more only backs up
-        max_vph = N_LANES * 3600.0 / self.sim.tick
+        max_vph = self.sim.max_demand_vph
         if self.demand_vph > max_vph:
             raise ValueError(
                 f"demand_vph must be <= {max_vph:g} ({N_LANES} lanes, one spawn a tick): {self.demand_vph}"

@@ -17,15 +17,11 @@ from ugatlab.numnet.mlp import (
     clone_model,
     forward,
     init_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    save_model,
     softmax,
 )
 from ugatlab.numnet.losses import EvidenceError, cce_loss, edl_loss, mse_loss
 from ugatlab.numnet.adam import AdamState, adam_step, init_adam
-from ugatlab.numnet.gradcheck import GradCheckResult, gradcheck
+from ugatlab.numnet.gradcheck import GradCheckResult, gradcheck, random_cases
 
 __all__ = [
     "AdamState",
@@ -46,10 +42,7 @@ __all__ = [
     "gradcheck",
     "init_adam",
     "init_model",
-    "load_model",
-    "model_from_dict",
-    "model_to_dict",
     "mse_loss",
-    "save_model",
+    "random_cases",
     "softmax",
 ]

@@ -26,17 +26,9 @@ class AdamState:
     )
 
 
-def init_adam(
-    model: MlpModel,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
+def init_adam(model: MlpModel, learning_rate: float = 1e-3, eps: float = 1e-8) -> AdamState:
     return AdamState(
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
         eps=eps,
         m=np.zeros_like(model.params),
         v=np.zeros_like(model.params),

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ugatlab.numnet.mlp import MlpModel, backward, flatten, forward
+from ugatlab.numnet.losses import cce_loss, edl_loss, mse_loss
+from ugatlab.numnet.mlp import MlpModel, MlpSpec, backward, flatten, forward, init_model
 
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -54,3 +56,22 @@ def gradcheck(
     return GradCheckResult(
         max_rel_error=max_rel, tolerance=tolerance, passed=max_rel < tolerance, worst=worst
     )
+
+
+def random_cases(rng: np.random.Generator, draws: int) -> Iterator[tuple[MlpModel, LossFn, np.ndarray]]:
+    """Yield (model, loss_fn, x) for an mse, a cce and an edl case per draw.
+
+    Each draw takes from rng, in order: layer sizes, the input x, a class, a
+    target and an edl anneal weight; each case then initialises its model."""
+    for _ in range(draws):
+        sizes = (int(rng.integers(3, 7)), int(rng.integers(4, 10)), int(rng.integers(2, 6)))
+        x = rng.normal(size=sizes[0])
+        t = int(rng.integers(sizes[-1]))
+        target = rng.normal(size=sizes[-1])
+        anneal = float(rng.uniform(0.0, 1.0))
+        for activation, loss in (
+            ("identity", partial(mse_loss, target=target)),
+            ("identity", partial(cce_loss, target_class=t)),
+            ("relu", partial(edl_loss, target_class=t, anneal=anneal)),
+        ):
+            yield init_model(MlpSpec(sizes, output_activation=activation), rng), loss, x

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 OUTPUT_ACTIVATIONS = ("identity", "relu", "softmax")
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 class ShapeError(ValueError):
@@ -211,51 +207,3 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> Gra
             delta = da * (cache.preacts[l - 1] > 0.0)
     return Gradients(weights=grads_w, biases=grads_b)
 
-
-# --- checkpointing ----------------------------------------------------------
-# Structured-text (JSON) container; tensors are base64 of the raw row-major
-# float64 bytes so a save/load round trip is bit-exact.
-
-
-def _encode(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype=np.float64).tobytes()).decode("ascii")
-
-
-def _decode(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s), dtype=np.float64).reshape(shape)
-
-
-def model_to_dict(model: MlpModel) -> dict:
-    return {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "layer_sizes": list(model.spec.layer_sizes),
-        "hidden_activation": "relu",
-        "output_activation": model.spec.output_activation,
-        "dropout_rate": model.spec.dropout_rate,
-        "weights": [{"rows": w.shape[0], "cols": w.shape[1], "data": _encode(w)} for w in model.weights],
-        "biases": [{"rows": b.shape[0], "data": _encode(b)} for b in model.biases],
-    }
-
-
-def model_from_dict(d: dict) -> MlpModel:
-    version = d.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version: {version!r}")
-    if d["hidden_activation"] != "relu":
-        raise ValueError(f"unknown hidden activation {d['hidden_activation']!r}")
-    spec = MlpSpec(
-        layer_sizes=tuple(d["layer_sizes"]),
-        output_activation=d["output_activation"],
-        dropout_rate=d["dropout_rate"],
-    )
-    weights = [_decode(w["data"], (w["rows"], w["cols"])) for w in d["weights"]]
-    biases = [_decode(b["data"], (b["rows"],)) for b in d["biases"]]
-    return MlpModel(spec=spec, weights=weights, biases=biases)
-
-
-def save_model(model: MlpModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)))
-
-
-def load_model(path: str | Path) -> MlpModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

@@ -135,8 +135,6 @@ class TrafficSim:
         demand: DemandSchedule,
         config: SimConfig,
     ):
-        if config.yellow_time >= config.decision_interval:
-            raise ConfigurationError("yellow_time must be shorter than the decision interval")
         if params.max_speed * config.tick > layout.lane_length:
             raise ConfigurationError("a vehicle must not traverse a whole lane in one tick")
         self.layout = layout

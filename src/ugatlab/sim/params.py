@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from ugatlab.sim.layout import N_LANES
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -87,3 +89,8 @@ class SimConfig:
     @property
     def episode_ticks(self) -> int:
         return round(self.episode_length / self.tick)
+
+    @property
+    def max_demand_vph(self) -> float:
+        """Arrivals per hour the engine can admit: one spawn per lane and tick; more only backs up."""
+        return N_LANES * 3600.0 / self.tick

@@ -23,7 +23,7 @@ from ugatlab.experiment.protocols import (
     train_direct_policy,
 )
 from ugatlab.grounding import GroundingConfig, UncertainAction, edl_uncertainty
-from ugatlab.numnet import MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
+from ugatlab.numnet import gradcheck, random_cases
 from ugatlab.sim import (
     SCENARIOS,
     IntersectionLayout,
@@ -45,27 +45,12 @@ def verdict(criterion: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_1_gradient_correctness():
-    rng = np.random.default_rng(101)
     worst = 0.0
     cases = 0
-    while cases < 100:
-        sizes = (int(rng.integers(3, 7)), int(rng.integers(4, 10)), int(rng.integers(2, 6)))
-        x = rng.normal(size=sizes[0])
-        t = int(rng.integers(sizes[-1]))
-        target = rng.normal(size=sizes[-1])
-        anneal = float(rng.uniform(0.0, 1.0))
-        for spec, loss in (
-            (MlpSpec(layer_sizes=sizes), lambda y: mse_loss(y, target)),
-            (MlpSpec(layer_sizes=sizes), lambda y: cce_loss(y, t)),
-            (
-                MlpSpec(layer_sizes=sizes, output_activation="relu"),
-                lambda y: edl_loss(y, t, anneal=anneal),
-            ),
-        ):
-            model = init_model(spec, rng)
-            result = gradcheck(model, loss, x, tolerance=1e-4)
-            worst = max(worst, result.max_rel_error)
-            cases += 1
+    for model, loss, x in random_cases(np.random.default_rng(101), 34):
+        result = gradcheck(model, loss, x, tolerance=1e-4)
+        worst = max(worst, result.max_rel_error)
+        cases += 1
     passed = worst < 1e-4
     verdict(
         "criterion 1 (gradient correctness)",

@@ -73,13 +73,26 @@ def test_greedy_invariant_to_constant_q_shift():
 # --- replay -----------------------------------------------------------------
 
 
+def flat(t):
+    return (t.state.tolist(), t.action, t.reward, t.next_state.tolist(), t.terminal)
+
+
+def contents(buf):
+    """The ring's filled slots, oldest first, in flat() form."""
+    order = np.roll(np.arange(len(buf)), -buf._write)
+    return [
+        (s.tolist(), int(a), float(r), s2.tolist(), bool(live == 0.0))
+        for s, a, r, s2, live in zip(*(arr[: len(buf)][order] for arr in buf._arrays))
+    ]
+
+
 def test_replay_fifo_eviction_preserves_order():
     buf = ReplayBuffer(capacity=5, rng=np.random.default_rng(0))
     items = [tr([i], 0, float(i), [i]) for i in range(8)]
     for item in items:
         buf.push(item)
     assert len(buf) == 5
-    assert buf.snapshot() == items[3:]
+    assert contents(buf) == [flat(t) for t in items[3:]]
 
 
 def test_replay_sampling_is_seeded():
@@ -132,10 +145,7 @@ def test_replay_ring_samples_like_the_list_reference():
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
     fifo = ref.items[ref.write :] + ref.items[: ref.write]
-    for got, want in zip(ring.snapshot(), fifo, strict=True):
-        assert np.array_equal(got.state, want.state)
-        assert np.array_equal(got.next_state, want.next_state)
-        assert (got.action, got.reward, got.terminal) == (want.action, want.reward, want.terminal)
+    assert contents(ring) == [flat(t) for t in fifo]
 
 
 def test_replay_push_copies_the_transition():
@@ -147,10 +157,6 @@ def test_replay_push_copies_the_transition():
     states, _, _, next_states, _ = buf.sample(1)
     assert np.array_equal(states, [[1.0, 2.0]])
     assert np.array_equal(next_states, [[3.0, 4.0]])
-
-
-def flat(t):
-    return (t.state.tolist(), t.action, t.reward, t.next_state.tolist(), t.terminal)
 
 
 @pytest.mark.parametrize("copier", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))])
@@ -174,19 +180,19 @@ def test_replay_copy_pushes_and_samples_like_the_original(copier, filled):
         for got, want in zip(clone.sample(n), original.sample(n), strict=True):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-    assert [flat(t) for t in clone.snapshot()] == [flat(t) for t in original.snapshot()]
+    assert contents(clone) == contents(original)
 
 
 def test_replay_copy_is_independent_of_the_original():
     original = ReplayBuffer(capacity=4, rng=np.random.default_rng(2))
     for i in range(5):  # wrapped once
         original.push(tr([i, i], i % 8, float(i), [i + 1, i + 1]))
-    before = [flat(t) for t in original.snapshot()]
+    before = contents(original)
     rng_state = original._rng.bit_generator.state
     clone = copy.deepcopy(original)
     clone.push(tr([9, 9], 3, 9.0, [9, 9], terminal=True))
     clone.sample(3)
-    assert [flat(t) for t in original.snapshot()] == before
+    assert contents(original) == before
     assert original._rng.bit_generator.state == rng_state
     assert original._write == 1 and clone._write == 2
 
@@ -398,7 +404,7 @@ def test_train_policy_replays_the_policys_actions_under_a_hook():
     train_policy(factory, 3, agent, buf, np.random.default_rng(1), step_hook=hook)
     assert [env.executed for env in envs] == [[7, 7, 7]] * 3
     assert agent.decision_steps == len(buf) == len(proposed) == 9
-    assert [t.action for t in buf.snapshot()] == proposed
+    assert [action for _, action, *_ in contents(buf)] == proposed
     assert set(proposed) <= {0, 1, 2, 3}
 
 

@@ -12,11 +12,7 @@ from ugatlab.numnet import (
     clone_model,
     forward,
     init_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
     mse_loss,
-    save_model,
     softmax,
 )
 
@@ -146,26 +142,6 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
         p = softmax(z)
         assert abs(p.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(p, softmax(z + 123.456), atol=1e-9)
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    model = make_model([4, 7, 3], seed=21, output_activation="softmax", dropout_rate=0.25)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.spec == model.spec
-    x = np.random.default_rng(22).normal(size=4)
-    a, _ = forward(model, x)
-    b, _ = forward(loaded, x)
-    assert np.array_equal(a, b)
-
-
-def test_checkpoint_with_another_hidden_activation_is_rejected():
-    d = model_to_dict(make_model([4, 7, 3], seed=21))
-    assert d["hidden_activation"] == "relu"
-    d["hidden_activation"] = "tanh"
-    with pytest.raises(ValueError, match="hidden activation 'tanh'"):
-        model_from_dict(d)
 
 
 def test_clone_is_independent():
