@@ -196,15 +196,19 @@ def cmd_gap_report(args) -> int:
 def cmd_gradcheck(args) -> int:
     """Randomized gradient checks of the MLP kernel under all three losses."""
     worst = 0.0
-    cases = 0
+    cases = skipped = 0
     for model, loss, x in random_cases(np.random.default_rng(args.seed), args.cases):
         res = gradcheck(model, loss, x, tolerance=args.tolerance)
         worst = max(worst, res.max_rel_error)
         cases += 1
+        skipped += res.skipped
         if not res.passed:
             return _fail("gradcheck", f"rel error {res.max_rel_error:g} at {res.worst}", 2)
     if not args.quiet:
-        print(f"gradcheck: {cases} cases, max relative error {worst:.3g} < {args.tolerance:g}")
+        print(
+            f"gradcheck: {cases} cases, max relative error {worst:.3g} < {args.tolerance:g}, "
+            f"{skipped} coordinates skipped at a relu kink"
+        )
     return 0
 
 

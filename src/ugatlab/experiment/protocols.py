@@ -111,7 +111,7 @@ def evaluate(
         env = TrafficSim(layout, params, demand, sim_cfg)
         for t in play_episode(env, lambda s: agent.act(s, 0.0, greedy_rng)):
             traj_rows.append(
-                (env_tag, ep, env.time, *t.state, t.action, t.action, t.reward, *env.lane_queue_counts())
+                (env_tag, ep, env.time, *t.state, t.action, t.action, t.reward, *env.queues)
             )
         records.append(env.finalize_metrics())
         veh_rows.extend(

@@ -20,6 +20,7 @@ class GradCheckResult:
     tolerance: float
     passed: bool
     worst: int  # index into model.params of the largest relative error
+    skipped: int  # coordinates whose +-step straddles a relu kink
 
 
 def gradcheck(
@@ -33,28 +34,40 @@ def gradcheck(
 
     loss_fn maps the network output to (scalar loss, d loss / d output).
     Dropout is excluded (forwards without an rng) so both routes see the
-    same deterministic function.
+    same deterministic function. A coordinate whose +step and -step forwards
+    switch a different set of relus on (hidden layers, and a relu output) is
+    skipped: there the loss has a kink between the two probes, so the central
+    difference measures neither one-sided derivative.
     """
     out, cache = forward(model, x)
     _, dloss = loss_fn(out)
     grads = backward(model, cache, dloss)
     analytic = flatten(grads.weights, grads.biases)
     params = model.params
-    worst, max_rel = 0, 0.0
+    relu_layers = model.spec.n_layers - (model.spec.output_activation != "relu")
+
+    def probe() -> tuple[float, list[np.ndarray]]:
+        out, cache = forward(model, x)
+        return loss_fn(out)[0], [z > 0.0 for z in cache.preacts[:relu_layers]]
+
+    worst, max_rel, skipped = 0, 0.0, 0
     for i in range(params.size):
         orig = params[i]
         params[i] = orig + step
-        plus, _ = loss_fn(forward(model, x)[0])
+        plus, plus_on = probe()
         params[i] = orig - step
-        minus, _ = loss_fn(forward(model, x)[0])
+        minus, minus_on = probe()
         params[i] = orig
+        if not all(np.array_equal(a, b) for a, b in zip(plus_on, minus_on)):
+            skipped += 1
+            continue
         num = (plus - minus) / (2.0 * step)
         ana = float(analytic[i])
         rel = abs(ana - num) / (abs(ana) + abs(num) + 1e-12)
         if rel > max_rel:
             max_rel, worst = rel, i
     return GradCheckResult(
-        max_rel_error=max_rel, tolerance=tolerance, passed=max_rel < tolerance, worst=worst
+        max_rel_error=max_rel, tolerance=tolerance, passed=max_rel < tolerance, worst=worst, skipped=skipped
     )
 
 

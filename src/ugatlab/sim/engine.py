@@ -43,14 +43,23 @@ the full rule would. Should the float check fail, cruise_d is infinite and
 only an unobstructed vehicle cruises.
 
 Arrivals spawn at the first tick at or after their time, one per lane and
-tick, once the lane entry has room. _spawn keeps the earliest pending arrival
-over all lanes and returns at once while the clock is below it; a lane whose
-entry is blocked keeps its overdue arrival pending, so the next tick scans
-again.
+tick, once the lane entry has room. Each lane's arrivals are split off the
+(frozen) schedule once, in __init__; a heap holds (next arrival time, lane)
+for every lane with arrivals left, so a tick whose clock is below the heap's
+top spawns nothing, and a tick that spawns touches only the due lanes. Each
+due lane spawns at most one vehicle, then goes back on the heap with its next
+arrival, or with the same one if its entry is blocked, so the next tick tries
+again. Lanes spawn independently, so the order among due lanes does not
+matter.
+
+step runs a decision as at most two segments, the yellow ticks and then the
+phase ticks, and _tick(permitted, n) runs the n ticks of one segment in one
+loop that loads the constants and the per-lane state once.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -142,6 +151,13 @@ class TrafficSim:
         self.demand = demand
         self.config = config
         self._cruise_d = _cruise_distance(params, config.tick)
+        self._ticks_per_decision = config.ticks_per_decision
+        self._yellow_ticks = config.yellow_ticks
+        self._episode_ticks = config.episode_ticks
+        # per lane, its (arrival time, vid) pairs in schedule order
+        self._backlog: list[list[tuple[float, int]]] = [[] for _ in range(N_LANES)]
+        for vid, (t, movement) in enumerate(demand.arrivals):
+            self._backlog[movement].append((t, vid))
         self.reset()
 
     # --- lifecycle -----------------------------------------------------
@@ -156,18 +172,17 @@ class TrafficSim:
         # and the min-gap violations between its members (constant while pinned)
         self._settled = [0] * N_LANES
         self._settled_gaps: list[list[float]] = [[] for _ in range(N_LANES)]
-        self._backlog: list[list[tuple[float, int]]] = [[] for _ in range(N_LANES)]
-        for vid, (t, movement) in enumerate(self.demand.arrivals):
-            self._backlog[movement].append((t, vid))
         self._backlog_idx = [0] * N_LANES
-        # earliest pending arrival time over all lanes; _spawn idles below it
-        self._next_arrival = self.demand.arrivals[0][0] if self.demand.arrivals else math.inf
+        # (next pending arrival time, lane) for every lane with arrivals left
+        self._due = [(backlog[0][0], lane_idx) for lane_idx, backlog in enumerate(self._backlog) if backlog]
+        heapq.heapify(self._due)
         self.spawned = 0
         self.completed: list[CompletedVehicle] = []
         self.gap_violations: list[tuple[float, int, float]] = []
         self.signal_violations: list[tuple[float, int, int]] = []
         self._decision_rewards: list[float] = []
         self._decision_queues: list[int] = []
+        self.queues: tuple[int, ...] = (0,) * N_LANES  # lane_queue_counts() at the last decision
         self._done = False
         return self.observe()
 
@@ -226,58 +241,51 @@ class TrafficSim:
         action = int(action)
         if not 0 <= action < N_PHASES:
             raise ActionError(f"phase index {action} outside 0..{N_PHASES - 1}")
-        remaining = self.config.ticks_per_decision
         if action != self.phase:
             self.pending_phase = action
-            for _ in range(self.config.yellow_ticks):
-                self._tick(ALL_RED)
+            self._tick(ALL_RED, self._yellow_ticks)
             self.phase = action
             self.pending_phase = None
-            remaining -= self.config.yellow_ticks
-        permitted = PHASES[self.phase]
-        for _ in range(remaining):
-            self._tick(permitted)
-        queues = self.lane_queue_counts()
+            self._tick(PHASES[action], self._ticks_per_decision - self._yellow_ticks)
+        else:
+            self._tick(PHASES[action], self._ticks_per_decision)
+        queues = self.queues = self.lane_queue_counts()
         total_queue = sum(queues)
         reward = -float(total_queue)
         self._decision_rewards.append(reward)
         self._decision_queues.append(total_queue)
-        if self.tick_count >= self.config.episode_ticks:
+        if self.tick_count >= self._episode_ticks:
             self._done = True
         return self.observe(), reward, self._done
 
     # --- internals --------------------------------------------------------
 
-    def _spawn(self) -> None:
+    def _spawn(self, now: float) -> None:
+        """Spawn at most one vehicle into each lane whose next arrival is due at now."""
         p = self.params
-        now = self.time
-        if now < self._next_arrival:
-            return
+        due = self._due
+        due_lanes = []
+        while due and due[0][0] <= now:
+            due_lanes.append(heapq.heappop(due)[1])
         entry_clearance = p.vehicle_length + p.min_gap
-        next_arrival = math.inf
-        for lane_idx in range(N_LANES):
+        for lane_idx in due_lanes:
             backlog = self._backlog[lane_idx]
             i = self._backlog_idx[lane_idx]
-            if i >= len(backlog):
-                continue
-            if backlog[i][0] <= now:
-                lane = self.lanes[lane_idx]
-                # stop point seen from pos 0; a blocked entry leaves the arrival
-                # due, so the next tick scans again
-                d_entry = lane[-1].pos - entry_clearance if lane else math.inf
-                if d_entry >= 0.0:
-                    speed = min(p.max_speed, _safe_speed(d_entry, p.decel, self.config.tick))
-                    lane.append(Vehicle(backlog[i][1], lane_idx, 0.0, speed, now))
-                    i += 1
-                    self._backlog_idx[lane_idx] = i
-                    self.spawned += 1
-                    if i == len(backlog):
-                        continue
-            next_arrival = min(next_arrival, backlog[i][0])
-        self._next_arrival = next_arrival
+            lane = self.lanes[lane_idx]
+            # stop point seen from pos 0; a blocked entry keeps the arrival due
+            d_entry = lane[-1].pos - entry_clearance if lane else math.inf
+            if d_entry >= 0.0:
+                speed = min(p.max_speed, _safe_speed(d_entry, p.decel, self.config.tick))
+                lane.append(Vehicle(backlog[i][1], lane_idx, 0.0, speed, now))
+                i += 1
+                self._backlog_idx[lane_idx] = i
+                self.spawned += 1
+                if i == len(backlog):
+                    continue
+            heapq.heappush(due, (backlog[i][0], lane_idx))
 
-    def _tick(self, permitted: frozenset[int]) -> None:
-        self._spawn()
+    def _tick(self, permitted: frozenset[int], n: int) -> None:
+        """Run n ticks under one set of permitted movements."""
         p = self.params
         dt = self.config.tick
         accel = p.accel
@@ -295,111 +303,121 @@ class TrafficSim:
         length = p.vehicle_length
         clearance = length + p.min_gap
         gap_floor = p.min_gap - 1e-9
-        now = self.time
-        stamp = (self.tick_count + 1) * dt  # self.time once this tick is counted
         inf = math.inf
+        lanes = self.lanes
+        settled_runs = self._settled
+        settled_gaps_per_lane = self._settled_gaps
+        due = self._due
         gap_violations = self.gap_violations
+        signal_violations = self.signal_violations
+        completed = self.completed
+        tick_count = self.tick_count
 
-        for lane_idx, lane in enumerate(self.lanes):
-            if not lane:
-                continue
-            lane_open = lane_idx in permitted
-            settled_gaps = self._settled_gaps[lane_idx]
-            if lane_open:
-                settled = 0
-                settled_gaps.clear()
-            else:
-                settled = self._settled[lane_idx]
-                if settled_gaps:
-                    gap_violations.extend((stamp, lane_idx, gap) for gap in settled_gaps)
-            ahead_pos = lane[settled - 1].pos if settled else inf  # last survivor ahead
-            leader_stop = ahead_pos - clearance  # stop point imposed by the vehicle ahead
-            completed_any = False
-            for i in range(settled, len(lane)):
-                veh = lane[i]
-                pos = veh.pos
-                v = veh.speed
-                stop_at = leader_stop
-                if not lane_open and stop_line < stop_at:
-                    stop_at = stop_line
-                d = stop_at - pos
-                joins = False
+        for _ in range(n):
+            now = tick_count * dt
+            if due and due[0][0] <= now:
+                self._spawn(now)
+            tick_count += 1
+            stamp = tick_count * dt  # self.time once this tick is counted
 
-                # each min(a, b) below is written as "a, unless b < a", which
-                # returns the same float
-                if d <= STOP_EPS:
-                    # pinned at a stop point; hold and keep the startup timer armed
-                    new_v = 0.0
-                    veh.startup_timer = startup_delay
-                    joins = i == settled and not lane_open
-                    if joins:
-                        settled += 1
-                elif v <= 0.0 and veh.startup_timer > 0.0:
-                    if veh.startup_timer >= dt:
-                        veh.startup_timer -= dt
-                        new_v = 0.0
-                    else:
-                        free = dt - veh.startup_timer
-                        veh.startup_timer = 0.0
-                        new_v = accel * free
-                        if max_speed < new_v:
-                            new_v = max_speed
-                        if d < cruise_d:
-                            safe = -bd + sqrt(bd2 + two_decel * d)
-                            if safe < new_v:
-                                new_v = safe
-                elif d >= cruise_d:
-                    new_v = v + accel_dt
-                    if max_speed < new_v:
-                        new_v = max_speed
+            for lane_idx, lane in enumerate(lanes):
+                if not lane:
+                    continue
+                lane_open = lane_idx in permitted
+                settled_gaps = settled_gaps_per_lane[lane_idx]
+                if lane_open:
+                    settled = 0
+                    settled_gaps.clear()
                 else:
-                    desired = v * v / (2.0 * d)
-                    if desired <= decel:
+                    settled = settled_runs[lane_idx]
+                    if settled_gaps:
+                        gap_violations.extend((stamp, lane_idx, gap) for gap in settled_gaps)
+                ahead_pos = lane[settled - 1].pos if settled else inf  # last survivor ahead
+                leader_stop = ahead_pos - clearance  # stop point imposed by the vehicle ahead
+                completed_any = False
+                for i in range(settled, len(lane)):
+                    veh = lane[i]
+                    pos = veh.pos
+                    v = veh.speed
+                    stop_at = leader_stop
+                    if not lane_open and stop_line < stop_at:
+                        stop_at = stop_line
+                    d = stop_at - pos
+                    joins = False
+
+                    # each min(a, b) below is written as "a, unless b < a", which
+                    # returns the same float
+                    if d <= STOP_EPS:
+                        # pinned at a stop point; hold and keep the startup timer armed
+                        new_v = 0.0
+                        veh.startup_timer = startup_delay
+                        joins = i == settled and not lane_open
+                        if joins:
+                            settled += 1
+                    elif v <= 0.0 and veh.startup_timer > 0.0:
+                        if veh.startup_timer >= dt:
+                            veh.startup_timer -= dt
+                            new_v = 0.0
+                        else:
+                            free = dt - veh.startup_timer
+                            veh.startup_timer = 0.0
+                            new_v = accel * free
+                            if max_speed < new_v:
+                                new_v = max_speed
+                            if d < cruise_d:
+                                safe = -bd + sqrt(bd2 + two_decel * d)
+                                if safe < new_v:
+                                    new_v = safe
+                    elif d >= cruise_d:
                         new_v = v + accel_dt
                         if max_speed < new_v:
                             new_v = max_speed
-                        safe = -bd + sqrt(bd2 + two_decel * d)
-                        if safe < new_v:
-                            new_v = safe
                     else:
-                        new_v = v - (emergency_decel if emergency_decel < desired else desired) * dt
-                        if new_v < 0.0:
-                            new_v = 0.0
+                        desired = v * v / (2.0 * d)
+                        if desired <= decel:
+                            new_v = v + accel_dt
+                            if max_speed < new_v:
+                                new_v = max_speed
+                            safe = -bd + sqrt(bd2 + two_decel * d)
+                            if safe < new_v:
+                                new_v = safe
+                        else:
+                            new_v = v - (emergency_decel if emergency_decel < desired else desired) * dt
+                            if new_v < 0.0:
+                                new_v = 0.0
 
-                veh.speed = new_v
-                new_pos = pos + new_v * dt
-                veh.pos = new_pos
-                leader_stop = new_pos - clearance
+                    veh.speed = new_v
+                    new_pos = pos + new_v * dt
+                    veh.pos = new_pos
+                    leader_stop = new_pos - clearance
 
-                if new_pos >= stop_line:
-                    if not lane_open:
-                        self.signal_violations.append((now, lane_idx, veh.vid))
-                    crossing = now + (stop_line - pos) / new_v if new_v > 0.0 else now
-                    self.completed.append(
-                        CompletedVehicle(veh.vid, veh.movement, veh.spawn_time, crossing)
-                    )
-                    veh.pos = inf  # marks the vehicle for removal below
-                    completed_any = True
-                    continue
-                gap = ahead_pos - length - new_pos
-                if gap < gap_floor:
-                    gap_violations.append((stamp, lane_idx, gap))
-                    if joins:
-                        settled_gaps.append(gap)
-                ahead_pos = new_pos
-            if completed_any:
-                self.lanes[lane_idx] = [v for v in lane if v.pos != inf]
-                settled = 0
-                settled_gaps.clear()
-            self._settled[lane_idx] = settled
+                    if new_pos >= stop_line:
+                        if not lane_open:
+                            signal_violations.append((now, lane_idx, veh.vid))
+                        crossing = now + (stop_line - pos) / new_v if new_v > 0.0 else now
+                        completed.append(CompletedVehicle(veh.vid, veh.movement, veh.spawn_time, crossing))
+                        veh.pos = inf  # marks the vehicle for removal below
+                        completed_any = True
+                        continue
+                    gap = ahead_pos - length - new_pos
+                    if gap < gap_floor:
+                        gap_violations.append((stamp, lane_idx, gap))
+                        if joins:
+                            settled_gaps.append(gap)
+                    ahead_pos = new_pos
+                if completed_any:
+                    lanes[lane_idx] = [v for v in lane if v.pos != inf]
+                    settled = 0
+                    settled_gaps.clear()
+                settled_runs[lane_idx] = settled
 
-        self.tick_count += 1
-        active = sum(map(len, self.lanes))
-        if self.spawned != active + len(self.completed):
-            raise RuntimeError(
-                f"conservation broken at t={self.time}: spawned {self.spawned} != "
-                f"active {active} + completed {len(self.completed)}"
-            )
+            self.tick_count = tick_count
+            active = sum(map(len, lanes))
+            if self.spawned != active + len(completed):
+                raise RuntimeError(
+                    f"conservation broken at t={self.time}: spawned {self.spawned} != "
+                    f"active {active} + completed {len(completed)}"
+                )
 
     def state_signature(self) -> str:
         """Stable text fingerprint of the full mutable state (for replay checks)."""

@@ -365,10 +365,11 @@ def direct_policies(pretrained):
 
 
 @pytest.fixture(scope="module")
-def grounded_reports():
+def grounded_reports(pretrained):
     """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha.
 
-    One battery: run_arms pretrains each seed once for all five arms.
+    Every arm continues its own copy of the module's pretrained states, as
+    run_arms would give it: each arm's pretraining is the fixture's.
     """
     arms = [
         (label, desk_cfg(algorithm=algorithm, head=head, static_alpha=alpha))
@@ -380,7 +381,10 @@ def grounded_reports():
             ("static_0.5", "ugat_static", "edl", 0.5),
         )
     ]
-    return dict(protocols.run_arms(arms))
+    for _, cfg in arms:
+        for seed in SEEDS:
+            assert protocols._pretraining_key(cfg, seed) == protocols._pretraining_key(desk_cfg(), seed)
+    return {label: protocols._run_arm(cfg, pretrained) for label, cfg in arms}
 
 
 def test_criterion_6_gap_existence(direct_policies):

@@ -144,6 +144,9 @@ def test_demand_gen_rejects_a_non_finite_rate_or_duration(tmp_path, capsys, flag
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--cases", "3"]) == 0
     assert "max relative error" in capsys.readouterr().out
+    # the defaults draw cases with dead hidden relus, whose kink coordinates are skipped
+    assert main(["gradcheck"]) == 0
+    assert "4 coordinates skipped at a relu kink" in capsys.readouterr().out
 
 
 def test_train_ugat_produces_run_layout(tiny_config, tmp_path):

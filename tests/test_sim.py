@@ -21,8 +21,8 @@ from ugatlab.sim import (
     movements_compatible,
     save_demand,
 )
-from ugatlab.sim.engine import Vehicle
-from ugatlab.sim.layout import ALL_RED
+from ugatlab.sim.engine import Vehicle, _safe_speed
+from ugatlab.sim.layout import ALL_RED, N_LANES
 
 
 def make_sim(params="Default", demand=None, **cfg):
@@ -69,7 +69,7 @@ def test_reset_returns_empty_state_with_phase_zero():
 def test_first_arrival_at_time_zero_enters_on_first_tick():
     demand = DemandSchedule(arrivals=((0.0, 5),))
     sim = make_sim(demand=demand)
-    sim._tick(PHASES[0])
+    sim._tick(PHASES[0], 1)
     assert sim.spawned == 1
     assert len(sim.lanes[5]) == 1
     sim2 = make_sim(demand=demand)
@@ -158,7 +158,7 @@ def test_rest_to_speed_under_green_default_accel():
     sim = make_sim("Default")
     lane = movement_index("N", "through")
     put_vehicle(sim, lane, 50.0, 0.0)
-    sim._tick(PHASES[0])
+    sim._tick(PHASES[0], 1)
     veh = sim.lanes[lane][0]
     assert veh.speed == pytest.approx(2.60)
     assert veh.pos == pytest.approx(50.0 + 2.60)
@@ -168,7 +168,7 @@ def test_red_far_from_stop_line_cruises_at_max_speed():
     sim = make_sim("Default")
     lane = movement_index("E", "through")  # red under phase 0
     put_vehicle(sim, lane, 0.0, 13.89)
-    sim._tick(PHASES[0])
+    sim._tick(PHASES[0], 1)
     assert sim.lanes[lane][0].speed == pytest.approx(13.89)
 
 
@@ -176,7 +176,7 @@ def test_pinned_vehicle_arms_startup_timer():
     sim = make_sim("V1")
     lane = movement_index("N", "through")
     put_vehicle(sim, lane, 299.95, 0.0)
-    sim._tick(ALL_RED)
+    sim._tick(ALL_RED, 1)
     veh = sim.lanes[lane][0]
     assert veh.speed == 0.0
     assert veh.startup_timer == pytest.approx(0.50)
@@ -188,7 +188,7 @@ def test_startup_delay_waits_then_uses_remaining_fraction():
     lane = movement_index("N", "through")
     put_vehicle(sim, lane, 150.0, 0.0)
     sim.lanes[lane][0].startup_timer = 0.50  # armed while previously pinned
-    sim._tick(PHASES[0])  # green, path open
+    sim._tick(PHASES[0], 1)  # green, path open
     veh = sim.lanes[lane][0]
     assert veh.speed == pytest.approx(1.00 * 0.5)
     assert veh.pos == pytest.approx(150.0 + 0.5)
@@ -201,7 +201,7 @@ def test_startup_delay_v2_slower_than_v1():
         lane = movement_index("N", "through")
         put_vehicle(sim, lane, 150.0, 0.0)
         sim.lanes[lane][0].startup_timer = SCENARIOS[name].startup_delay
-        sim._tick(PHASES[0])
+        sim._tick(PHASES[0], 1)
         speeds[name] = sim.lanes[lane][0].speed
     assert speeds["V2"] == pytest.approx(1.00 * 0.25)
     assert speeds["V2"] < speeds["V1"]
@@ -265,12 +265,12 @@ def test_two_vehicle_queue_discharge_matches_scalar_oracle():
     starts = [(299.95, 0.0), (299.95 - 7.5, 0.0)]
     for k, (pos, speed) in enumerate(starts):
         put_vehicle(sim, lane, pos, speed, vid=k)
-    sim._tick(ALL_RED)  # arm both startup timers at the stop points
+    sim._tick(ALL_RED, 1)  # arm both startup timers at the stop points
     expected = scalar_requeue_oracle(
         [p for p, _ in starts], [s for _, s in starts], params, ticks=10
     )
     for tick in range(10):
-        sim._tick(PHASES[0])
+        sim._tick(PHASES[0], 1)
         live = {v.vid: v for v in sim.lanes[lane]}
         assert set(live) == set(expected[tick])
         for vid, (pos, vel) in expected[tick].items():
@@ -297,26 +297,41 @@ def test_settled_pair_inside_min_gap_logs_one_entry_per_tick():
     gap = 299.95 - params.vehicle_length - (299.95 - params.vehicle_length - 2.0)
     permits = [ALL_RED] * 3 + [PHASES[0]] * 9
     for permitted in permits:
-        sim._tick(permitted)
+        sim._tick(permitted, 1)
     assert [v.pos for v in sim.lanes[lane]] == [299.95, 299.95 - params.vehicle_length - 2.0]
     assert sim.gap_violations == [(float(t), lane, gap) for t in range(1, len(permits) + 1)]
 
 
 def run_fixed_cycle_episode(params_name, before_tick=None, demand_seed=3):
+    # with a before_tick hook, every n-tick segment runs as n single ticks with
+    # the hook before each, so a per-tick check sees every tick
     demand = generate_demand(2600, 3600, seed=demand_seed)
     sim = make_sim(params_name, demand=demand)
     if before_tick is not None:
         tick = sim._tick
 
-        def wrapped(permitted):
-            before_tick(sim)
-            tick(permitted)
+        def split(permitted, n):
+            for _ in range(n):
+                before_tick(sim)
+                tick(permitted, 1)
 
-        sim._tick = wrapped
+        sim._tick = split
     controller = FixedCycleController()
     while not sim.done:
         sim.step(controller.act())
     return sim
+
+
+@pytest.mark.parametrize("params_name", ["Default", "V1", "V4"])
+def test_single_tick_segments_match_the_segment_loop(params_name):
+    ticks = []
+    split = run_fixed_cycle_episode(params_name, lambda sim: ticks.append(sim.tick_count))
+    whole = run_fixed_cycle_episode(params_name)
+    assert ticks == list(range(whole.tick_count))  # the hook saw every tick once
+    assert split.state_signature() == whole.state_signature()
+    assert split.completed == whole.completed
+    assert split.signal_violations == whole.signal_violations
+    assert split.gap_violations == whole.gap_violations
 
 
 def forget_settled(sim):
@@ -346,7 +361,7 @@ def test_pinned_follower_of_a_moving_leader_is_not_skipped():
         put_vehicle(sim, lane, 243.5, 0.0, vid=1)  # pinned behind the leader's first metre
         for _ in range(30):
             before_tick(sim)
-            sim._tick(PHASES[0])
+            sim._tick(PHASES[0], 1)
         signatures.append(sim.state_signature())
     assert signatures[0] == signatures[1]
 
@@ -444,16 +459,32 @@ def test_cruise_distance_bounds_hold_in_floats(params_name):
     assert p.max_speed * p.max_speed / (2.0 * d) <= p.decel
 
 
-def spawn_due_now(sim):
-    sim._next_arrival = 0.0  # every tick scans every lane
+def full_scan_spawn(sim):
+    # the reference spawn: every tick visits all 12 lanes and spawns the due
+    # arrival of each lane whose entry has room; the engine's heap is emptied
+    # first, so the engine itself spawns nothing
+    sim._due.clear()
+    p, now = sim.params, sim.time
+    for lane_idx, backlog in enumerate(sim._backlog):
+        i = sim._backlog_idx[lane_idx]
+        if i < len(backlog) and backlog[i][0] <= now:
+            lane = sim.lanes[lane_idx]
+            d_entry = lane[-1].pos - (p.vehicle_length + p.min_gap) if lane else math.inf
+            if d_entry >= 0.0:
+                speed = min(p.max_speed, _safe_speed(d_entry, p.decel, sim.config.tick))
+                lane.append(Vehicle(backlog[i][1], lane_idx, 0.0, speed, now))
+                sim._backlog_idx[lane_idx] = i + 1
+                sim.spawned += 1
 
 
 @pytest.mark.parametrize("params_name", ["Default", "V4"])
 def test_spawn_skip_matches_a_full_scan(params_name):
     idle = []
-    fast = run_fixed_cycle_episode(params_name, lambda sim: idle.append(sim.time < sim._next_arrival))
-    full = run_fixed_cycle_episode(params_name, spawn_due_now)
-    assert any(idle)  # the skip did run
+    fast = run_fixed_cycle_episode(
+        params_name, lambda sim: idle.append(not sim._due or sim.time < sim._due[0][0])
+    )
+    full = run_fixed_cycle_episode(params_name, full_scan_spawn)
+    assert any(idle) and not all(idle)  # the heap both skipped and spawned
     assert fast.spawned == full.spawned
     assert fast.state_signature() == full.state_signature()
     assert fast.completed == full.completed
@@ -465,15 +496,16 @@ def test_blocked_entry_keeps_the_spawn_scan_running():
     n_left, s_through = movement_index("N", "left"), movement_index("S", "through")
     demand = DemandSchedule(arrivals=((0.0, n_left), (50.0, s_through)))
     sims = []
-    for before_tick in (lambda sim: None, spawn_due_now):
+    for before_tick in (lambda sim: None, full_scan_spawn):
         sim = make_sim("Default", demand=demand)
         put_vehicle(sim, n_left, 2.0, 0.0)  # inside the entry clearance
         for _ in range(60):
             before_tick(sim)
-            sim._tick(PHASES[0])
+            sim._tick(PHASES[0], 1)
             if sim.tick_count == 1:
                 assert sim.spawned == 1  # the entry was blocked
-                assert sim._next_arrival == 0.0  # so the arrival stays due
+                if sim._due:  # the engine's heap; the reference run empties it
+                    assert sim._due[0] == (0.0, n_left)  # so the arrival stays due
         sims.append(sim)
     fast, full = sims
     assert fast.state_signature() == full.state_signature()
@@ -484,16 +516,17 @@ def test_blocked_entry_keeps_the_spawn_scan_running():
 def test_reset_restores_the_spawn_skip_state():
     demand = generate_demand(2000, 300, seed=3)
     sim = make_sim(demand=demand, episode_length=300.0)
-    assert sim._next_arrival == demand.arrivals[0][0]
+    heap = list(sim._due)
+    assert len(heap) == N_LANES and heap[0][0] == demand.arrivals[0][0]
     signatures = []
     for _ in range(2):
         while not sim.done:
             sim.step(0)
         signatures.append(sim.state_signature())
         sim.reset()
-        assert sim._next_arrival == demand.arrivals[0][0]
+        assert sim._due == heap and sim._backlog_idx == [0] * N_LANES
     assert signatures[0] == signatures[1]
-    assert make_sim()._next_arrival == math.inf  # no arrivals, nothing to scan for
+    assert make_sim()._due == []  # no arrivals, nothing to spawn
 
 
 # --- metrics -------------------------------------------------------------------
