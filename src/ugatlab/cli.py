@@ -226,6 +226,16 @@ def cmd_demand_gen(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, head: bool = False, alpha: bool = False, jobs: bool = False):
     p.add_argument("--config", help="structured-text config file")
     p.add_argument("--out", help="output directory (default $UGATLAB_OUT or ./runs)")
@@ -233,7 +243,7 @@ def _add_common(p: argparse.ArgumentParser, head: bool = False, alpha: bool = Fa
     p.add_argument("--scenario", help="environment variant playing reality (Default..V4)")
     p.add_argument("--quiet", action="store_true")
     if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="parallel protocol arms")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="parallel protocol arms (>= 1)")
     if head:
         p.add_argument("--head", help="uncertainty head: edl, dropout, ensemble, logits")
     if alpha:

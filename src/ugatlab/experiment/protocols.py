@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,13 +194,12 @@ def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -
 # --- shared plumbing --------------------------------------------------------------
 
 
-def _train_demand(cfg: ExperimentConfig) -> DemandSchedule:
-    return generate_demand(cfg.demand_vph, cfg.sim.episode_length, cfg.demand_seed)
+Schedules = tuple[DemandSchedule, list[DemandSchedule]]
 
 
-def _demands(cfg: ExperimentConfig) -> tuple[DemandSchedule, list[DemandSchedule]]:
+def _demands(cfg: ExperimentConfig) -> Schedules:
     """One training schedule plus held-out evaluation schedules."""
-    train = _train_demand(cfg)
+    train = generate_demand(cfg.demand_vph, cfg.sim.episode_length, cfg.demand_seed)
     evals = [
         generate_demand(cfg.demand_vph, cfg.sim.episode_length, cfg.demand_seed + 1000 + i)
         for i in range(cfg.eval_episodes)
@@ -237,14 +237,18 @@ def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_t
 class PolicyState:
     """A seed's policy in training: its streams, agent, replay buffer and curve.
 
-    A copy (copy.deepcopy, or pickling to a worker) shares nothing with the
-    original, so each arm can continue its own copy of one pretraining.
+    first_rollouts, when set, holds the grounded loop's iteration-1 (d_sim,
+    d_real), collected ahead for several arms; the rollout stream then stands
+    after them. A copy (copy.deepcopy, or pickling to a worker) shares
+    nothing with the original, so each arm can continue its own copy of one
+    pretraining or first collection.
     """
 
     streams: dict[str, np.random.Generator]
     agent: DqnAgent
     buffer: ReplayBuffer
     curve: list[EpisodeRecord] = field(default_factory=list)
+    first_rollouts: tuple[list[Transition], list[Transition]] | None = None
 
     def train(self, env_factory, episodes: int, step_hook=None) -> None:
         """train_policy on this state; the curve numbers its episodes on from the last."""
@@ -257,6 +261,10 @@ class PolicyState:
 
 def _sim_factory(cfg: ExperimentConfig, train_demand: DemandSchedule):
     return _env_factory(cfg, "Default", train_demand, cfg.training_sim)
+
+
+def _real_factory(cfg: ExperimentConfig, train_demand: DemandSchedule):
+    return _env_factory(cfg, cfg.scenario, train_demand, cfg.training_sim)
 
 
 def pretrain(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, episodes: int) -> PolicyState:
@@ -296,8 +304,10 @@ def train_direct_policy(
     return state.agent, state.curve
 
 
-def run_direct_transfer(cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None) -> GapReport:
-    train_demand, eval_demands = _demands(cfg)
+def run_direct_transfer(
+    cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None, demands: Schedules | None = None
+) -> GapReport:
+    train_demand, eval_demands = demands or _demands(cfg)
     pretrained = pretrained or {}
     per_seed = []
     for seed in cfg.seeds:
@@ -336,6 +346,17 @@ class Grounder:
         return ground(state, action, self.forward_model, self.inverse_model, self._head_rng)
 
 
+def collect_rollouts(
+    cfg: ExperimentConfig, state: PolicyState, train_demand: DemandSchedule
+) -> tuple[list[Transition], list[Transition]]:
+    """One grounding iteration's sim and real rollouts of state's policy.
+
+    Both draw from the rollout stream, sim first; the agent is only read.
+    """
+    args = (cfg.rollout_episodes, state.agent, cfg.rollout_epsilon, state.streams["rollout"])
+    return rollout(_sim_factory(cfg, train_demand), *args), rollout(_real_factory(cfg, train_demand), *args)
+
+
 def _initial_rate(cfg: ExperimentConfig) -> GroundingRate:
     if cfg.algorithm == "ugat_static":
         return GroundingRate(alpha=float(cfg.static_alpha))
@@ -357,12 +378,13 @@ def _run_grounded_seed(
     log, run E grounded policy-training episodes of T steps (gating every
     step, learning every step), and finally update alpha under the dynamic
     rule. gat pins alpha at +inf and ugat_static at its constant; both skip
-    the update.
+    the update. When pretrained carries first_rollouts, iteration 1 uses
+    them instead of collecting.
     """
     state = pretrained if pretrained is not None else pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
     streams, agent = state.streams, state.agent
     sim_factory = _sim_factory(cfg, train_demand)
-    real_factory = _env_factory(cfg, cfg.scenario, train_demand, cfg.training_sim)
+    ahead, state.first_rollouts = state.first_rollouts, None
 
     grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
     rate = _initial_rate(cfg)
@@ -388,8 +410,10 @@ def _run_grounded_seed(
         return executed
 
     for iteration in range(1, cfg.iterations + 1):
-        d_sim.extend(rollout(sim_factory, cfg.rollout_episodes, agent, cfg.rollout_epsilon, streams["rollout"]))
-        d_real.extend(rollout(real_factory, cfg.rollout_episodes, agent, cfg.rollout_epsilon, streams["rollout"]))
+        fresh = iteration > 1 or ahead is None
+        sim_rollouts, real_rollouts = collect_rollouts(cfg, state, train_demand) if fresh else ahead
+        d_sim.extend(sim_rollouts)
+        d_real.extend(real_rollouts)
         grounder.fit(d_real, d_sim, streams["grounder_train"])
 
         rate.logged.clear()
@@ -401,11 +425,17 @@ def _run_grounded_seed(
     return _seed_result(cfg, seed, agent, eval_demands, state.curve, audit_rows, alpha_trace)
 
 
-def run_ugat(cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None) -> GapReport:
-    """The grounded protocol; pretrained maps a seed to its state to continue in place."""
+def run_ugat(
+    cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None, demands: Schedules | None = None
+) -> GapReport:
+    """The grounded protocol; pretrained maps a seed to its state to continue in place.
+
+    demands, when given, are cfg's (training, evaluation) schedules, made once
+    for a battery; both runners generate them otherwise.
+    """
     if cfg.algorithm == "direct":
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
-    train_demand, eval_demands = _demands(cfg)
+    train_demand, eval_demands = demands or _demands(cfg)
     pretrained = pretrained or {}
     per_seed = [
         _run_grounded_seed(cfg, seed, train_demand, eval_demands, pretrained.get(seed)) for seed in cfg.seeds
@@ -436,59 +466,118 @@ def _pretraining_key(cfg: ExperimentConfig, seed: int) -> tuple | None:
     )
 
 
-def _shared_pretrainings(configs: Sequence[ExperimentConfig]) -> dict[tuple, tuple[ExperimentConfig, int]]:
-    """Each pretraining that more than one arm starts from, with a (cfg, seed) that makes it."""
+def _collection_key(cfg: ExperimentConfig, seed: int) -> tuple | None:
+    """Everything a grounded arm's iteration-1 rollouts read; None for a direct arm or no pretraining."""
+    key = _pretraining_key(cfg, seed)
+    if key is None or cfg.algorithm == "direct":
+        return None
+    return (key, cfg.scenario, cfg.rollout_episodes, cfg.rollout_epsilon)
+
+
+def _shared_prefixes(
+    configs: Sequence[ExperimentConfig], key_of: Callable[[ExperimentConfig, int], tuple | None]
+) -> dict[tuple, tuple[ExperimentConfig, int]]:
+    """Each prefix key_of names that more than one arm starts from, with a (cfg, seed) that makes it."""
     users: dict[tuple, list[tuple[ExperimentConfig, int]]] = {}
     for cfg in configs:
         for seed in cfg.seeds:
-            key = _pretraining_key(cfg, seed)
+            key = key_of(cfg, seed)
             if key is not None:
                 users.setdefault(key, []).append((cfg, seed))
     return {key: found[0] for key, found in users.items() if len(found) > 1}
 
 
-def _pretrain_shared(maker: tuple[ExperimentConfig, int]) -> PolicyState:
+def _shared_pretrainings(configs: Sequence[ExperimentConfig]) -> dict[tuple, tuple[ExperimentConfig, int]]:
+    return _shared_prefixes(configs, _pretraining_key)
+
+
+def _pretrain_shared(maker: tuple[ExperimentConfig, int], train_demand: DemandSchedule) -> PolicyState:
     cfg, seed = maker
-    return pretrain(cfg, seed, _train_demand(cfg), cfg.pretrain_episodes)
+    return pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
 
 
-def _run_arm(cfg: ExperimentConfig, pretrained: dict[int, PolicyState]) -> GapReport:
-    """One arm's report; it continues its own copy of each shared pretrained state."""
+def _collect_shared(
+    maker: tuple[ExperimentConfig, int], pretrained: PolicyState, train_demand: DemandSchedule
+) -> PolicyState:
+    """A copy of pretrained with the grounded loop's iteration-1 rollouts collected ahead.
+
+    A grounded arm that continues pretrained and agrees with the maker's
+    config on scenario, rollout_episodes and rollout_epsilon would collect
+    exactly these; a direct arm reads neither them nor the rollout stream.
+    """
+    cfg, _ = maker
+    state = copy.deepcopy(pretrained)
+    state.first_rollouts = collect_rollouts(cfg, state, train_demand)
+    return state
+
+
+def _deepest_shared(cfg: ExperimentConfig, seed: int, states: dict[tuple, PolicyState]) -> PolicyState | None:
+    """The deepest shared state an arm's seed continues: its first collection, else its pretraining."""
+    for key in (_collection_key(cfg, seed), _pretraining_key(cfg, seed)):
+        if key in states:
+            return states[key]
+    return None
+
+
+def _run_arm(
+    cfg: ExperimentConfig, pretrained: dict[int, PolicyState], demands: Schedules | None = None
+) -> GapReport:
+    """One arm's report; it continues its own copy of each shared state."""
     own = copy.deepcopy(pretrained)
-    return run_direct_transfer(cfg, own) if cfg.algorithm == "direct" else run_ugat(cfg, own)
+    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
+    return runner(cfg, own, demands)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
     """Run labelled protocol arms on up to `jobs` worker processes.
 
-    A pretraining that several arms start from (same seed, DQN, training
-    sim and demand, and episode count) runs once, first, and every such arm
-    continues its own copy: the bytes are those of each arm run alone.
+    The arms share one output root and one demand configuration (a battery
+    whose arms differ in demand_vph, demand_seed, eval_episodes or episode
+    length is rejected). What several arms share runs once, first, and every
+    arm continues its own copy, so the bytes are those of each arm run alone:
+    - the demand schedules, generated once and handed to the demands/
+      writer, the shared pretrainings and collections, and every arm;
+    - a seed's pretraining (same seed, DQN, training sim and demand, and
+      episode count);
+    - on top of it, the grounded loop's iteration-1 sim and real rollouts
+      and the rollout stream after them, for grounded arms that also agree
+      on scenario, rollout_episodes and rollout_epsilon. Each arm continues
+      the deepest such state it shares; a direct arm continues the
+      pretraining.
 
-    The runners only compute; this is the one writer of the run tree. The arms
-    share one output root and one demand configuration, so the shared
-    demands/ directory is written first. Each arm's seed directories follow
-    in arm order as its report arrives, so the tree is the same for any
-    `jobs` and no two processes write one file.
+    The runners only compute; this is the one writer of the run tree. The
+    shared demands/ directory is written first. Each arm's seed directories
+    follow in arm order as its report arrives, so the tree is the same for
+    any `jobs` and no two processes write one file.
     """
     from ugatlab.experiment import io  # io imports this module
 
-    _, first = arms[0]
-    out_dir = first.out_dir
-    if out_dir is not None:
-        io.write_demands(out_dir, *_demands(first))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1: {jobs}")
     configs = [cfg for _, cfg in arms]
-    shared = _shared_pretrainings(configs)
+    if len({(c.demand_vph, c.sim.episode_length, c.demand_seed, c.eval_episodes) for c in configs}) > 1:
+        raise ValueError("the arms of a battery must share one demand configuration")
+    schedules = _demands(configs[0])
+    train_demand = schedules[0]
+    out_dir = configs[0].out_dir
+    if out_dir is not None:
+        io.write_demands(out_dir, *schedules)
+    pretrainings = _shared_pretrainings(configs)
+    collections = _shared_prefixes(configs, _collection_key)
     parallel = jobs > 1 and len(arms) > 1
     rows = []
     with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
-        states = dict(zip(shared, mapper(_pretrain_shared, shared.values())))
+        made = mapper(_pretrain_shared, pretrainings.values(), repeat(train_demand))
+        pretrained = dict(zip(pretrainings, made))
+        starts = [pretrained[_pretraining_key(cfg, seed)] for cfg, seed in collections.values()]
+        collected = mapper(_collect_shared, collections.values(), starts, repeat(train_demand))
+        states = {**pretrained, **dict(zip(collections, collected))}
         per_arm = [
-            {seed: states[key] for seed in cfg.seeds if (key := _pretraining_key(cfg, seed)) in states}
+            {seed: state for seed in cfg.seeds if (state := _deepest_shared(cfg, seed, states)) is not None}
             for cfg in configs
         ]
-        reports = mapper(_run_arm, configs, per_arm)
+        reports = mapper(_run_arm, configs, per_arm, repeat(schedules))
         for (label, cfg), report in zip(arms, reports):
             if out_dir is not None:
                 for result in report.per_seed:

@@ -47,10 +47,13 @@ tick, once the lane entry has room. Each lane's arrivals are split off the
 (frozen) schedule once, in __init__; a heap holds (next arrival time, lane)
 for every lane with arrivals left, so a tick whose clock is below the heap's
 top spawns nothing, and a tick that spawns touches only the due lanes. Each
-due lane spawns at most one vehicle, then goes back on the heap with its next
-arrival, or with the same one if its entry is blocked, so the next tick tries
-again. Lanes spawn independently, so the order among due lanes does not
-matter.
+due lane spawns at most one vehicle and goes back on the heap with its next
+arrival. A due lane whose entry is blocked waits off the heap instead, with
+the vehicle that blocks it: nothing spawns into that lane meanwhile, so that
+vehicle stays its last one until it moves on (a completed vehicle's pos is
+inf). The first tick that starts with room puts the same arrival back on
+the heap, and _spawn, with the same entry check, spawns it on that tick.
+Lanes spawn independently, so the order among due lanes does not matter.
 
 step runs a decision as at most two segments, the yellow ticks and then the
 phase ticks, and _tick(permitted, n) runs the n ticks of one segment in one
@@ -176,6 +179,8 @@ class TrafficSim:
         # (next pending arrival time, lane) for every lane with arrivals left
         self._due = [(backlog[0][0], lane_idx) for lane_idx, backlog in enumerate(self._backlog) if backlog]
         heapq.heapify(self._due)
+        # (last vehicle, heap entry) for every due lane whose entry that vehicle blocks
+        self._blocked: list[tuple[Vehicle, tuple[float, int]]] = []
         self.spawned = 0
         self.completed: list[CompletedVehicle] = []
         self.gap_violations: list[tuple[float, int, float]] = []
@@ -264,25 +269,27 @@ class TrafficSim:
         """Spawn at most one vehicle into each lane whose next arrival is due at now."""
         p = self.params
         due = self._due
-        due_lanes = []
+        due_items = []
         while due and due[0][0] <= now:
-            due_lanes.append(heapq.heappop(due)[1])
+            due_items.append(heapq.heappop(due))
         entry_clearance = p.vehicle_length + p.min_gap
-        for lane_idx in due_lanes:
+        for item in due_items:
+            lane_idx = item[1]
+            lane = self.lanes[lane_idx]
+            # stop point seen from pos 0; a blocked lane waits off the heap, still due
+            d_entry = lane[-1].pos - entry_clearance if lane else math.inf
+            if d_entry < 0.0:
+                self._blocked.append((lane[-1], item))
+                continue
             backlog = self._backlog[lane_idx]
             i = self._backlog_idx[lane_idx]
-            lane = self.lanes[lane_idx]
-            # stop point seen from pos 0; a blocked entry keeps the arrival due
-            d_entry = lane[-1].pos - entry_clearance if lane else math.inf
-            if d_entry >= 0.0:
-                speed = min(p.max_speed, _safe_speed(d_entry, p.decel, self.config.tick))
-                lane.append(Vehicle(backlog[i][1], lane_idx, 0.0, speed, now))
-                i += 1
-                self._backlog_idx[lane_idx] = i
-                self.spawned += 1
-                if i == len(backlog):
-                    continue
-            heapq.heappush(due, (backlog[i][0], lane_idx))
+            speed = min(p.max_speed, _safe_speed(d_entry, p.decel, self.config.tick))
+            lane.append(Vehicle(backlog[i][1], lane_idx, 0.0, speed, now))
+            i += 1
+            self._backlog_idx[lane_idx] = i
+            self.spawned += 1
+            if i < len(backlog):
+                heapq.heappush(due, (backlog[i][0], lane_idx))
 
     def _tick(self, permitted: frozenset[int], n: int) -> None:
         """Run n ticks under one set of permitted movements."""
@@ -308,6 +315,8 @@ class TrafficSim:
         settled_runs = self._settled
         settled_gaps_per_lane = self._settled_gaps
         due = self._due
+        blocked = self._blocked
+        heappush = heapq.heappush
         gap_violations = self.gap_violations
         signal_violations = self.signal_violations
         completed = self.completed
@@ -315,6 +324,13 @@ class TrafficSim:
 
         for _ in range(n):
             now = tick_count * dt
+            if blocked:
+                # a waiting lane is due again once its last vehicle clears the entry
+                for k in range(len(blocked) - 1, -1, -1):
+                    last, item = blocked[k]
+                    if last.pos - clearance >= 0.0:
+                        del blocked[k]
+                        heappush(due, item)
             if due and due[0][0] <= now:
                 self._spawn(now)
             tick_count += 1

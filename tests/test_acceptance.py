@@ -368,8 +368,9 @@ def direct_policies(pretrained):
 def grounded_reports(pretrained):
     """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha.
 
-    Every arm continues its own copy of the module's pretrained states, as
-    run_arms would give it: each arm's pretraining is the fixture's.
+    Every arm continues its own copy of one first collection per seed, made
+    from the module's pretrained states by the code run_arms uses: each arm's
+    pretraining is the fixture's, and every arm reads the same rollouts.
     """
     arms = [
         (label, desk_cfg(algorithm=algorithm, head=head, static_alpha=alpha))
@@ -381,10 +382,14 @@ def grounded_reports(pretrained):
             ("static_0.5", "ugat_static", "edl", 0.5),
         )
     ]
+    first = arms[0][1]
     for _, cfg in arms:
         for seed in SEEDS:
             assert protocols._pretraining_key(cfg, seed) == protocols._pretraining_key(desk_cfg(), seed)
-    return {label: protocols._run_arm(cfg, pretrained) for label, cfg in arms}
+            assert protocols._collection_key(cfg, seed) == protocols._collection_key(first, seed)
+    demands = _demands(first)
+    collected = {seed: protocols._collect_shared((first, seed), pretrained[seed], demands[0]) for seed in SEEDS}
+    return {label: protocols._run_arm(cfg, collected, demands) for label, cfg in arms}
 
 
 def test_criterion_6_gap_existence(direct_policies):

@@ -72,6 +72,16 @@ def test_single_arm_commands_reject_jobs(command, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["ablate", "sweep-alpha", "compare-uncertainty"])
+def test_battery_commands_reject_jobs_below_one(command, jobs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be >= 1: {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_is_named_in_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[experiment]\nalhpa = 0.5\n")

@@ -274,23 +274,49 @@ def shared_pretraining_arms():
 
 
 def run_recorded(monkeypatch, fn):
-    """fn()'s result, each evaluated agent's Q and target bytes, and the seed of each pretrain()."""
-    q_bytes, pretrained_seeds = [], []
+    """fn()'s result and what it called.
+
+    calls["q"] holds each evaluated agent's Q and target bytes, "pretrain" the
+    seed of each pretrain(), "rollout" the rollout stream's state at each
+    rollout() and "demand" the arguments of each generate_demand().
+    """
+    calls = {"q": [], "pretrain": [], "rollout": [], "demand": []}
     seed_result, pretrain = protocols._seed_result, protocols.pretrain
+    rollout, generate_demand = protocols.rollout, protocols.generate_demand
 
     def recording_seed_result(cfg, seed, agent, *rest):
-        q_bytes.append(agent.q_model.params.tobytes() + agent.target_model.params.tobytes())
+        calls["q"].append(agent.q_model.params.tobytes() + agent.target_model.params.tobytes())
         return seed_result(cfg, seed, agent, *rest)
 
     def recording_pretrain(cfg, seed, *rest):
-        pretrained_seeds.append(seed)
+        calls["pretrain"].append(seed)
         return pretrain(cfg, seed, *rest)
+
+    def recording_rollout(env_factory, episodes, agent, epsilon, rng):
+        calls["rollout"].append(stream_state(rng))
+        return rollout(env_factory, episodes, agent, epsilon, rng)
+
+    def recording_generate_demand(*args):
+        calls["demand"].append(args)
+        return generate_demand(*args)
 
     with monkeypatch.context() as m:
         m.setattr(protocols, "_seed_result", recording_seed_result)
         m.setattr(protocols, "pretrain", recording_pretrain)
+        m.setattr(protocols, "rollout", recording_rollout)
+        m.setattr(protocols, "generate_demand", recording_generate_demand)
         result = fn()
-    return result, q_bytes, pretrained_seeds
+    return result, calls
+
+
+def stream_state(rng):
+    state = rng.bit_generator.state["state"]
+    return state["inc"], state["state"]
+
+
+def first_collections(rollout_states, seeds):
+    """Per seed, the rollouts that start from its fresh rollout stream: iteration 1's sim rollout."""
+    return {s: rollout_states.count(stream_state(protocols.seed_streams(s)["rollout"])) for s in seeds}
 
 
 def arm_fingerprint(report, q_bytes):
@@ -309,29 +335,56 @@ def arm_fingerprint(report, q_bytes):
 
 
 def run_arms_fingerprints(monkeypatch, arms):
-    rows, q_bytes, pretrained_seeds = run_recorded(monkeypatch, lambda: protocols.run_arms(arms))
+    rows, calls = run_recorded(monkeypatch, lambda: protocols.run_arms(arms))
     n = len(arms[0][1].seeds)
-    prints = {label: arm_fingerprint(r, q_bytes[i * n : (i + 1) * n]) for i, (label, r) in enumerate(rows)}
-    return prints, pretrained_seeds
+    prints = {label: arm_fingerprint(r, calls["q"][i * n : (i + 1) * n]) for i, (label, r) in enumerate(rows)}
+    return prints, calls
+
+
+def run_alone(monkeypatch, cfg):
+    """The fingerprint of cfg's arm run by itself, and what it called."""
+    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
+    report, calls = run_recorded(monkeypatch, lambda: runner(cfg))
+    return arm_fingerprint(report, calls["q"]), calls
 
 
 def test_shared_pretraining_gives_every_arm_the_bytes_it_gets_alone(monkeypatch):
     arms = shared_pretraining_arms()
-    shared, pretrained_seeds = run_arms_fingerprints(monkeypatch, arms)
+    shared, calls = run_arms_fingerprints(monkeypatch, arms)
     # one shared pretraining per seed, then direct_short's own per seed
-    assert pretrained_seeds == [1, 2, 1, 2]
-    alone_pretrainings = []
+    assert calls["pretrain"] == [1, 2, 1, 2]
+    # one first collection per seed for edl, dropout and gat; each arm collects
+    # its iteration 2 (sim and real) on from the shared stream
+    assert first_collections(calls["rollout"], (1, 2)) == {1: 1, 2: 1}
+    assert len(calls["rollout"]) == 2 * (2 + 3 * 2)
+    # the battery's schedules are generated once: training and one evaluation
+    assert len(calls["demand"]) == 2
+    alone_calls = {"pretrain": [], "rollout": [], "demand": []}
     for label, cfg in arms:
-        runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
-        report, q_bytes, seeds = run_recorded(monkeypatch, lambda: runner(cfg))
-        alone_pretrainings += seeds
-        assert shared[label] == arm_fingerprint(report, q_bytes), label
-    assert len(alone_pretrainings) == 10
+        alone, arm_calls = run_alone(monkeypatch, cfg)
+        for name, made in alone_calls.items():
+            made += arm_calls[name]
+        assert shared[label] == alone, label
+    assert len(alone_calls["pretrain"]) == 10
+    assert first_collections(alone_calls["rollout"], (1, 2)) == {1: 3, 2: 3}
+    assert len(alone_calls["rollout"]) == 3 * 2 * 2 * 2
+    assert len(alone_calls["demand"]) == 5 * 2
     assert len(shared["direct"][0][5]) == 3 and len(shared["direct_short"][0][5]) == 1
     assert [r[0] for r in shared["edl"][0][5]] == list(range(4))  # 2 pretrained + 2 grounded
 
     reversed_order, _ = run_arms_fingerprints(monkeypatch, arms[::-1])
     assert reversed_order == shared
+
+
+@pytest.mark.parametrize("differs", [{"scenario": "V4"}, {"rollout_epsilon": 0.2}, {"rollout_episodes": 2}])
+def test_arms_that_read_other_rollouts_collect_their_own(monkeypatch, differs):
+    cfg = tiny_cfg(pretrain_episodes=1)
+    arms = [("a", cfg), ("b", replace(cfg, **differs)), ("c", replace(cfg, algorithm="gat", head="logits"))]
+    shared, calls = run_arms_fingerprints(monkeypatch, arms)
+    assert calls["pretrain"] == [1]  # the pretraining is still shared
+    assert first_collections(calls["rollout"], (1,)) == {1: 2}  # a and c share one, b makes its own
+    for label, arm_cfg in arms:
+        assert shared[label] == run_alone(monkeypatch, arm_cfg)[0], label
 
 
 def test_only_a_pretraining_that_several_arms_start_from_is_shared():
@@ -352,6 +405,45 @@ def test_only_a_pretraining_that_several_arms_start_from_is_shared():
     assert [seed for _, seed in makers.values()] == [2]  # seeds 1 and 3 have one arm each
 
 
+def shared_collections(configs):
+    return protocols._shared_prefixes(configs, protocols._collection_key)
+
+
+def test_only_a_first_collection_that_several_grounded_arms_read_is_shared():
+    cfg = tiny_cfg(pretrain_episodes=1, seeds=(1, 2))
+    assert shared_collections([cfg]) == {}
+    assert shared_collections([replace(cfg, pretrain_episodes=0)] * 2) == {}  # no pretraining to continue
+    assert shared_collections([cfg, replace(cfg, algorithm="direct")]) == {}  # a direct arm reads no rollouts
+    for differs in (
+        {"scenario": "V4"},
+        {"rollout_epsilon": 0.2},
+        {"rollout_episodes": 2},
+        {"demand_seed": 4},  # another pretraining
+    ):
+        assert shared_collections([cfg, replace(cfg, **differs)]) == {}, differs
+    # head, algorithm, alpha and the grounding budget leave the rollouts alone
+    same = replace(cfg, algorithm="ugat_static", static_alpha=0.5, head="dropout", iterations=3, seeds=(2, 3))
+    makers = shared_collections([cfg, same])
+    assert [seed for _, seed in makers.values()] == [2]  # seeds 1 and 3 have one arm each
+
+
+def test_run_arms_rejects_jobs_below_one():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            protocols.run_arms([("a", tiny_cfg())], jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "differs",
+    [{"demand_vph": 900.0}, {"demand_seed": 4}, {"eval_episodes": 2}, {"sim": SimConfig(episode_length=90.0)}],
+)
+def test_run_arms_rejects_arms_with_other_demands(differs, monkeypatch):
+    monkeypatch.setattr(protocols, "generate_demand", None)  # nothing is generated first
+    cfg = tiny_cfg()
+    with pytest.raises(ValueError, match="one demand configuration"):
+        protocols.run_arms([("a", cfg), ("b", replace(cfg, **differs))])
+
+
 def test_direct_transfer_refuses_a_state_past_its_budget():
     cfg = tiny_cfg(algorithm="direct", direct_episodes=1)
     train_demand, _ = _demands(cfg)
@@ -364,13 +456,25 @@ def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monk
     cfg = tiny_cfg(algorithm="direct", out_dir=str(tmp_path))
     seen = []
 
-    def fake_arm(arm_cfg, pretrained=None):
+    def fake_arm(arm_cfg, pretrained=None, demands=None):
         seen.append(sorted(p.name for p in (tmp_path / "demands").glob("*")))
+        handed.append(demands)
         return protocols.GapReport(arm_cfg.algorithm, arm_cfg.scenario, (), [], {})
 
+    handed, written = [], []
+    write_demands = io.write_demands
+
+    def recording_write_demands(out, *demands):
+        written.append(demands)
+        write_demands(out, *demands)
+
     monkeypatch.setattr(protocols, "_run_arm", fake_arm)
+    monkeypatch.setattr(io, "write_demands", recording_write_demands)
     protocols.run_arms([("a", cfg), ("b", cfg)])
     assert seen == [["eval0.csv", "train.csv"]] * 2
+    # every arm gets the very schedules the demands/ directory was written from
+    ((train, evals),) = written
+    assert [(t is train, e is evals) for t, e in handed] == [(True, True)] * 2
 
 
 def test_metrics_csv_reads_back_into_the_evaluated_records(tmp_path):

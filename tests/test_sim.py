@@ -502,15 +502,30 @@ def test_blocked_entry_keeps_the_spawn_scan_running():
         for _ in range(60):
             before_tick(sim)
             sim._tick(PHASES[0], 1)
-            if sim.tick_count == 1:
-                assert sim.spawned == 1  # the entry was blocked
-                if sim._due:  # the engine's heap; the reference run empties it
-                    assert sim._due[0] == (0.0, n_left)  # so the arrival stays due
         sims.append(sim)
     fast, full = sims
     assert fast.state_signature() == full.state_signature()
     entered = {v.vid: v.spawn_time for lane in fast.lanes for v in lane}
     assert 0.0 < entered[0] < 50.0 and entered[1] == 50.0
+
+    # the engine: the arrival waits off the heap while the entry is blocked,
+    # and spawns on the first tick that starts with room
+    sim = make_sim("Default", demand=demand)
+    put_vehicle(sim, n_left, 2.0, 0.0)
+    blocker = sim.lanes[n_left][0]
+    clearance = sim.params.vehicle_length + sim.params.min_gap
+    waited = 0
+    for _ in range(60):
+        start, has_room = sim.time, blocker.pos - clearance >= 0.0
+        sim._tick(PHASES[0], 1)
+        if has_room:
+            break
+        waited += 1
+        assert sim._blocked == [(blocker, (0.0, n_left))]
+        assert sim._due == [(50.0, s_through)] and sim.spawned == 1
+    assert waited > 0
+    assert sim.spawned == 2 and sim.lanes[n_left][-1].spawn_time == start
+    assert sim._blocked == [] and sim._due == [(50.0, s_through)]
 
 
 def test_reset_restores_the_spawn_skip_state():
@@ -524,7 +539,7 @@ def test_reset_restores_the_spawn_skip_state():
             sim.step(0)
         signatures.append(sim.state_signature())
         sim.reset()
-        assert sim._due == heap and sim._backlog_idx == [0] * N_LANES
+        assert sim._due == heap and sim._backlog_idx == [0] * N_LANES and sim._blocked == []
     assert signatures[0] == signatures[1]
     assert make_sim()._due == []  # no arrivals, nothing to spawn
 
