@@ -284,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_gap_report)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the numeric kernel")
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_positive_int, default=25)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true")

@@ -51,6 +51,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown head {self.head!r}; pick from {HEAD_KINDS}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be distinct and >= 0: {self.seeds}")
         if self.algorithm == "ugat_static" and self.static_alpha is None:
             raise ValueError("ugat_static needs static_alpha")
         if self.static_alpha is not None and not self.static_alpha >= 0.0:  # NaN and -inf fail

@@ -238,10 +238,10 @@ class PolicyState:
     """A seed's policy in training: its streams, agent, replay buffer and curve.
 
     first_rollouts, when set, holds the grounded loop's iteration-1 (d_sim,
-    d_real), collected ahead for several arms; the rollout stream then stands
+    d_real), collected ahead by run_arms; the rollout stream then stands
     after them. A copy (copy.deepcopy, or pickling to a worker) shares
     nothing with the original, so each arm can continue its own copy of one
-    pretraining or first collection.
+    seed's start.
     """
 
     streams: dict[str, np.random.Generator]
@@ -445,105 +445,50 @@ def run_ugat(
 
 # --- batteries: ablation, sweep, head comparison ----------------------------------------
 
-
-def _pretraining_key(cfg: ExperimentConfig, seed: int) -> tuple | None:
-    """Everything that feeds a seed's pretraining; None when the arm has none to share.
-
-    A direct arm continues the pretraining only when its budget covers it.
-    """
-    short_direct = cfg.algorithm == "direct" and cfg.direct_episodes < cfg.pretrain_episodes
-    if cfg.pretrain_episodes == 0 or short_direct:
-        return None
-    return (
-        cfg.dqn,
-        cfg.training_sim,
-        cfg.layout,
-        cfg.demand_vph,
-        cfg.demand_seed,
-        cfg.sim.episode_length,
-        seed,
-        cfg.pretrain_episodes,
-    )
+# every config field a seed's start reads: the schedules, the pretraining and iteration 1's rollouts
+_START_FIELDS = (
+    "seeds", "demand_vph", "demand_seed", "eval_episodes", "sim", "steps_per_episode", "layout", "dqn",
+    "pretrain_episodes", "scenario", "rollout_episodes", "rollout_epsilon",
+)
 
 
-def _collection_key(cfg: ExperimentConfig, seed: int) -> tuple | None:
-    """Everything a grounded arm's iteration-1 rollouts read; None for a direct arm or no pretraining."""
-    key = _pretraining_key(cfg, seed)
-    if key is None or cfg.algorithm == "direct":
-        return None
-    return (key, cfg.scenario, cfg.rollout_episodes, cfg.rollout_epsilon)
-
-
-def _shared_prefixes(
-    configs: Sequence[ExperimentConfig], key_of: Callable[[ExperimentConfig, int], tuple | None]
-) -> dict[tuple, tuple[ExperimentConfig, int]]:
-    """Each prefix key_of names that more than one arm starts from, with a (cfg, seed) that makes it."""
-    users: dict[tuple, list[tuple[ExperimentConfig, int]]] = {}
-    for cfg in configs:
-        for seed in cfg.seeds:
-            key = key_of(cfg, seed)
-            if key is not None:
-                users.setdefault(key, []).append((cfg, seed))
-    return {key: found[0] for key, found in users.items() if len(found) > 1}
-
-
-def _shared_pretrainings(configs: Sequence[ExperimentConfig]) -> dict[tuple, tuple[ExperimentConfig, int]]:
-    return _shared_prefixes(configs, _pretraining_key)
-
-
-def _pretrain_shared(maker: tuple[ExperimentConfig, int], train_demand: DemandSchedule) -> PolicyState:
-    cfg, seed = maker
-    return pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
-
-
-def _collect_shared(
-    maker: tuple[ExperimentConfig, int], pretrained: PolicyState, train_demand: DemandSchedule
-) -> PolicyState:
-    """A copy of pretrained with the grounded loop's iteration-1 rollouts collected ahead.
-
-    A grounded arm that continues pretrained and agrees with the maker's
-    config on scenario, rollout_episodes and rollout_epsilon would collect
-    exactly these; a direct arm reads neither them nor the rollout stream.
-    """
-    cfg, _ = maker
-    state = copy.deepcopy(pretrained)
-    state.first_rollouts = collect_rollouts(cfg, state, train_demand)
+def _start(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, collect: bool) -> PolicyState:
+    """seed's pretraining; with collect, iteration 1's rollouts are collected into it in place."""
+    state = pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
+    if collect:
+        state.first_rollouts = collect_rollouts(cfg, state, train_demand)
     return state
 
 
-def _deepest_shared(cfg: ExperimentConfig, seed: int, states: dict[tuple, PolicyState]) -> PolicyState | None:
-    """The deepest shared state an arm's seed continues: its first collection, else its pretraining."""
-    for key in (_collection_key(cfg, seed), _pretraining_key(cfg, seed)):
-        if key in states:
-            return states[key]
-    return None
+def _trains_alone(cfg: ExperimentConfig) -> bool:
+    """A direct arm whose budget is below the pretraining, so it cannot continue the start."""
+    return cfg.algorithm == "direct" and cfg.direct_episodes < cfg.pretrain_episodes
 
 
 def _run_arm(
-    cfg: ExperimentConfig, pretrained: dict[int, PolicyState], demands: Schedules | None = None
+    cfg: ExperimentConfig, starts: dict[int, PolicyState], demands: Schedules | None = None
 ) -> GapReport:
-    """One arm's report; it continues its own copy of each shared state."""
-    own = copy.deepcopy(pretrained)
+    """One arm's report; it continues its own copy of each seed's start."""
+    if _trains_alone(cfg):
+        starts = {}
     runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
-    return runner(cfg, own, demands)
+    return runner(cfg, copy.deepcopy(starts), demands)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
     """Run labelled protocol arms on up to `jobs` worker processes.
 
-    The arms share one output root and one demand configuration (a battery
-    whose arms differ in demand_vph, demand_seed, eval_episodes or episode
-    length is rejected). What several arms share runs once, first, and every
-    arm continues its own copy, so the bytes are those of each arm run alone:
+    The arms share one output root and agree on every field in _START_FIELDS
+    (a battery whose arms differ in one is rejected), so every arm of a seed
+    starts the same way. What they share runs once, first, and every arm
+    continues its own copy, so the bytes are those of each arm run alone:
     - the demand schedules, generated once and handed to the demands/
-      writer, the shared pretrainings and collections, and every arm;
-    - a seed's pretraining (same seed, DQN, training sim and demand, and
-      episode count);
-    - on top of it, the grounded loop's iteration-1 sim and real rollouts
-      and the rollout stream after them, for grounded arms that also agree
-      on scenario, rollout_episodes and rollout_epsilon. Each arm continues
-      the deepest such state it shares; a direct arm continues the
-      pretraining.
+      writer, the starts and every arm;
+    - each seed's start: its pretraining and, when any arm grounds, the
+      grounded loop's iteration-1 sim and real rollouts and the rollout
+      stream after them. A direct arm reads neither, so it continues the
+      same start unless its budget is below the pretraining.
+    The pool holds at most one worker per arm or seed.
 
     The runners only compute; this is the one writer of the run tree. The
     shared demands/ directory is written first. Each arm's seed directories
@@ -555,31 +500,25 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
     configs = [cfg for _, cfg in arms]
-    if len({(c.demand_vph, c.sim.episode_length, c.demand_seed, c.eval_episodes) for c in configs}) > 1:
-        raise ValueError("the arms of a battery must share one demand configuration")
-    schedules = _demands(configs[0])
+    base = configs[0]
+    differ = [name for name in _START_FIELDS if any(getattr(c, name) != getattr(base, name) for c in configs)]
+    if differ:
+        raise ValueError(f"the arms of a battery must agree on {', '.join(differ)}")
+    schedules = _demands(base)
     train_demand = schedules[0]
-    out_dir = configs[0].out_dir
-    if out_dir is not None:
-        io.write_demands(out_dir, *schedules)
-    pretrainings = _shared_pretrainings(configs)
-    collections = _shared_prefixes(configs, _collection_key)
+    if base.out_dir is not None:
+        io.write_demands(base.out_dir, *schedules)
+    grounds = any(cfg.algorithm != "direct" for cfg in configs)
+    seeds = () if all(map(_trains_alone, configs)) else base.seeds
     parallel = jobs > 1 and len(arms) > 1
+    workers = min(jobs, max(len(arms), len(base.seeds)))
     rows = []
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
-        made = mapper(_pretrain_shared, pretrainings.values(), repeat(train_demand))
-        pretrained = dict(zip(pretrainings, made))
-        starts = [pretrained[_pretraining_key(cfg, seed)] for cfg, seed in collections.values()]
-        collected = mapper(_collect_shared, collections.values(), starts, repeat(train_demand))
-        states = {**pretrained, **dict(zip(collections, collected))}
-        per_arm = [
-            {seed: state for seed in cfg.seeds if (state := _deepest_shared(cfg, seed, states)) is not None}
-            for cfg in configs
-        ]
-        reports = mapper(_run_arm, configs, per_arm, repeat(schedules))
+        starts = dict(zip(seeds, mapper(_start, repeat(base), seeds, repeat(train_demand), repeat(grounds))))
+        reports = mapper(_run_arm, configs, repeat(starts), repeat(schedules))
         for (label, cfg), report in zip(arms, reports):
-            if out_dir is not None:
+            if base.out_dir is not None:
                 for result in report.per_seed:
                     io.write_seed_run(cfg, report.protocol, result)
             rows.append((label, report))

@@ -368,9 +368,10 @@ def direct_policies(pretrained):
 def grounded_reports(pretrained):
     """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha.
 
-    Every arm continues its own copy of one first collection per seed, made
-    from the module's pretrained states by the code run_arms uses: each arm's
-    pretraining is the fixture's, and every arm reads the same rollouts.
+    Every arm continues its own copy of one start per seed, as in run_arms:
+    the arms agree with the fixture's config on every field a start reads,
+    so each start is the fixture's pretraining with iteration 1's rollouts
+    collected into a copy of it.
     """
     arms = [
         (label, desk_cfg(algorithm=algorithm, head=head, static_alpha=alpha))
@@ -382,14 +383,15 @@ def grounded_reports(pretrained):
             ("static_0.5", "ugat_static", "edl", 0.5),
         )
     ]
-    first = arms[0][1]
     for _, cfg in arms:
-        for seed in SEEDS:
-            assert protocols._pretraining_key(cfg, seed) == protocols._pretraining_key(desk_cfg(), seed)
-            assert protocols._collection_key(cfg, seed) == protocols._collection_key(first, seed)
-    demands = _demands(first)
-    collected = {seed: protocols._collect_shared((first, seed), pretrained[seed], demands[0]) for seed in SEEDS}
-    return {label: protocols._run_arm(cfg, collected, demands) for label, cfg in arms}
+        for name in protocols._START_FIELDS:
+            assert getattr(cfg, name) == getattr(desk_cfg(), name), name
+    demands = _demands(desk_cfg())
+    starts = {}
+    for seed in SEEDS:
+        starts[seed] = copy.deepcopy(pretrained[seed])
+        starts[seed].first_rollouts = protocols.collect_rollouts(arms[0][1], starts[seed], demands[0])
+    return {label: protocols._run_arm(cfg, starts, demands) for label, cfg in arms}
 
 
 def test_criterion_6_gap_existence(direct_policies):

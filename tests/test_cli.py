@@ -159,6 +159,14 @@ def test_gradcheck_passes(capsys):
     assert "4 coordinates skipped at a relu kink" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_gradcheck_rejects_fewer_than_one_case(cases, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--cases", cases])
+    assert exc.value.code == 2
+    assert f"argument --cases: must be >= 1: {cases}" in capsys.readouterr().err
+
+
 def test_train_ugat_produces_run_layout(tiny_config, tmp_path):
     out = tmp_path / "out"
     code = main(["train-ugat", "--config", tiny_config, "--out", str(out), "--quiet"])
@@ -191,6 +199,17 @@ def test_seed_override_via_flag(tiny_config, tmp_path):
     assert code == 0
     assert (out / "direct" / "V1" / "seed7").is_dir()
     assert (out / "direct" / "V1" / "seed8").is_dir()
+
+
+@pytest.mark.parametrize("seeds", ["-1", "1,1", "2,-1"])
+def test_negative_or_repeated_seeds_fail_before_anything_is_written(seeds, tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["train-direct", "--config", tiny_config, "--out", str(out), "--seeds", seeds, "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ugatlab: error: config:")
+    assert "seeds" in err
+    assert not out.exists()
 
 
 def test_env_var_supplies_default_out_dir(tiny_config, tmp_path, monkeypatch):

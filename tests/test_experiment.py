@@ -376,55 +376,11 @@ def test_shared_pretraining_gives_every_arm_the_bytes_it_gets_alone(monkeypatch)
     assert reversed_order == shared
 
 
-@pytest.mark.parametrize("differs", [{"scenario": "V4"}, {"rollout_epsilon": 0.2}, {"rollout_episodes": 2}])
-def test_arms_that_read_other_rollouts_collect_their_own(monkeypatch, differs):
-    cfg = tiny_cfg(pretrain_episodes=1)
-    arms = [("a", cfg), ("b", replace(cfg, **differs)), ("c", replace(cfg, algorithm="gat", head="logits"))]
-    shared, calls = run_arms_fingerprints(monkeypatch, arms)
-    assert calls["pretrain"] == [1]  # the pretraining is still shared
-    assert first_collections(calls["rollout"], (1,)) == {1: 2}  # a and c share one, b makes its own
-    for label, arm_cfg in arms:
-        assert shared[label] == run_alone(monkeypatch, arm_cfg)[0], label
-
-
-def test_only_a_pretraining_that_several_arms_start_from_is_shared():
-    cfg = tiny_cfg(pretrain_episodes=1, seeds=(1, 2))
-    shared = protocols._shared_pretrainings
-    assert shared([cfg]) == {}
-    assert shared([replace(cfg, pretrain_episodes=0)] * 2) == {}
-    assert shared([cfg, replace(cfg, algorithm="direct", direct_episodes=0)]) == {}
-    for differs in (
-        {"demand_seed": 4},
-        {"demand_vph": 900.0},
-        {"steps_per_episode": 4},
-        {"pretrain_episodes": 2},
-        {"dqn": DqnConfig(batch_size=8, replay_capacity=64)},
-    ):
-        assert shared([cfg, replace(cfg, **differs)]) == {}, differs
-    makers = shared([cfg, replace(cfg, scenario="V4", head="dropout", seeds=(2, 3))])
-    assert [seed for _, seed in makers.values()] == [2]  # seeds 1 and 3 have one arm each
-
-
-def shared_collections(configs):
-    return protocols._shared_prefixes(configs, protocols._collection_key)
-
-
-def test_only_a_first_collection_that_several_grounded_arms_read_is_shared():
-    cfg = tiny_cfg(pretrain_episodes=1, seeds=(1, 2))
-    assert shared_collections([cfg]) == {}
-    assert shared_collections([replace(cfg, pretrain_episodes=0)] * 2) == {}  # no pretraining to continue
-    assert shared_collections([cfg, replace(cfg, algorithm="direct")]) == {}  # a direct arm reads no rollouts
-    for differs in (
-        {"scenario": "V4"},
-        {"rollout_epsilon": 0.2},
-        {"rollout_episodes": 2},
-        {"demand_seed": 4},  # another pretraining
-    ):
-        assert shared_collections([cfg, replace(cfg, **differs)]) == {}, differs
-    # head, algorithm, alpha and the grounding budget leave the rollouts alone
-    same = replace(cfg, algorithm="ugat_static", static_alpha=0.5, head="dropout", iterations=3, seeds=(2, 3))
-    makers = shared_collections([cfg, same])
-    assert [seed for _, seed in makers.values()] == [2]  # seeds 1 and 3 have one arm each
+def test_a_direct_arm_below_the_pretraining_budget_runs_no_start(monkeypatch):
+    cfg = tiny_cfg(algorithm="direct", seeds=(1, 2), pretrain_episodes=2, direct_episodes=1)
+    ((_, report),), calls = run_recorded(monkeypatch, lambda: protocols.run_arms([("direct", cfg)]))
+    assert calls["pretrain"] == [1, 2]  # the arm's own training, and no start beside it
+    assert arm_fingerprint(report, calls["q"]) == run_alone(monkeypatch, cfg)[0]
 
 
 def test_run_arms_rejects_jobs_below_one():
@@ -435,13 +391,55 @@ def test_run_arms_rejects_jobs_below_one():
 
 @pytest.mark.parametrize(
     "differs",
-    [{"demand_vph": 900.0}, {"demand_seed": 4}, {"eval_episodes": 2}, {"sim": SimConfig(episode_length=90.0)}],
+    [
+        {"demand_vph": 900.0},
+        {"demand_seed": 4},
+        {"eval_episodes": 2},
+        {"sim": SimConfig(episode_length=90.0)},
+        {"scenario": "V4"},
+        {"rollout_epsilon": 0.2},
+        {"rollout_episodes": 2},
+        {"steps_per_episode": 4},
+        {"pretrain_episodes": 1},
+        {"dqn": DqnConfig(batch_size=8, replay_capacity=64)},
+        {"seeds": (1, 2)},
+    ],
 )
 def test_run_arms_rejects_arms_with_other_demands(differs, monkeypatch):
     monkeypatch.setattr(protocols, "generate_demand", None)  # nothing is generated first
     cfg = tiny_cfg()
-    with pytest.raises(ValueError, match="one demand configuration"):
+    ((name, _),) = differs.items()
+    with pytest.raises(ValueError, match=f"the arms of a battery must agree on {name}$"):
         protocols.run_arms([("a", cfg), ("b", replace(cfg, **differs))])
+
+
+def test_run_arms_pool_has_at_most_one_worker_per_arm_or_seed(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(protocols, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_cfg(algorithm="direct")
+    two_arms = [("a", cfg), ("b", replace(cfg, direct_episodes=1))]
+    protocols.run_arms(two_arms, jobs=64)
+    protocols.run_arms([(label, replace(c, seeds=(1, 2, 3))) for label, c in two_arms], jobs=64)
+    protocols.run_arms([(label, replace(c, seeds=(1, 2, 3))) for label, c in two_arms], jobs=2)
+    run_ablation(cfg, jobs=64)
+    protocols.run_arms([("a", cfg)], jobs=64)  # one arm runs in this process
+    assert sizes == [2, 3, 2, 4]
 
 
 def test_direct_transfer_refuses_a_state_past_its_budget():
@@ -540,6 +538,9 @@ def experiment_with_dqn(**kw):
         (ExperimentConfig, "rollout_epsilon", -0.1),
         (ExperimentConfig, "direct_episodes", -3),
         (ExperimentConfig, "pretrain_episodes", -1),
+        (ExperimentConfig, "seeds", (1, 1)),
+        (ExperimentConfig, "seeds", (-1,)),
+        (ExperimentConfig, "seeds", (2, 0, -3)),
         (ExperimentConfig, "demand_vph", math.nan),
         (ExperimentConfig, "demand_vph", math.inf),
         (ExperimentConfig, "demand_vph", 0.0),
