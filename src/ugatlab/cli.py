@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 import typing
@@ -236,6 +237,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and > 0: {raw}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, head: bool = False, alpha: bool = False, jobs: bool = False):
     p.add_argument("--config", help="structured-text config file")
     p.add_argument("--out", help="output directory (default $UGATLAB_OUT or ./runs)")
@@ -285,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the numeric kernel")
     p.add_argument("--cases", type=_positive_int, default=25)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=cmd_gradcheck)

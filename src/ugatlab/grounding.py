@@ -19,6 +19,7 @@ import numpy as np
 
 from ugatlab.dqn import Transition
 from ugatlab.numnet import (
+    MlpModel,
     MlpSpec,
     adam_step,
     backward,
@@ -252,6 +253,29 @@ def _entropy_uncertainty(mean_probs: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum() / math.log(len(mean_probs)))
 
 
+def _dropout_probs(model: MlpModel, x: np.ndarray, passes: int, rng: np.random.Generator) -> np.ndarray:
+    """Softmax of `passes` dropout forwards of the identity-output model on x.
+
+    One row per pass, bit for bit what `passes` calls of forward(model, x,
+    rng) give: the first layer sees no mask, so it runs once; every mask comes
+    from one draw in the stream order of the per-pass draws (none at rate 0);
+    and each later layer multiplies a (passes, 1, h) stack, which numpy does
+    one single-row product at a time, where a (passes, h) product would round
+    differently.
+    """
+    p = model.spec.dropout_rate
+    widths = model.spec.layer_sizes[1:-1]
+    shape = (passes, 1, sum(widths))
+    keep = rng.random(shape) >= p if p > 0.0 else np.ones(shape, dtype=bool)
+    z = x[None, :] @ model.weights[0].T + model.biases[0]
+    start = 0
+    for w, b, width in zip(model.weights[1:], model.biases[1:], widths):
+        a = np.maximum(z, 0.0) * keep[..., start : start + width] / (1.0 - p)
+        z = np.matmul(a, w.T) + b
+        start += width
+    return softmax(z[:, 0])
+
+
 def head_uncertainty(
     im: InverseModel, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[int, float]:
@@ -267,12 +291,12 @@ def head_uncertainty(
         evidence, _ = forward(im.members[0], x)
         u, _beliefs = edl_uncertainty(evidence)
         return int(np.argmax(evidence)), u
-    passes = 1
     if im.head == "dropout":
         if rng is None:
             raise ValueError("dropout head needs an rng")
-        passes = im.config.dropout_passes
-    probs = [softmax(forward(m, x, rng)[0]) for m in im.members for _ in range(passes)]
+        probs = _dropout_probs(im.members[0], x, im.config.dropout_passes, rng)
+    else:
+        probs = [softmax(forward(m, x)[0]) for m in im.members]
     mean_p = np.mean(probs, axis=0)
     return int(np.argmax(mean_p)), _entropy_uncertainty(mean_p)
 

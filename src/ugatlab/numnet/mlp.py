@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-OUTPUT_ACTIVATIONS = ("identity", "relu", "softmax")
+OUTPUT_ACTIVATIONS = ("identity", "relu")
 
 
 class ShapeError(ValueError):
@@ -115,14 +115,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _apply_output(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "identity":
-        return z
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return softmax(z)
-
-
 def forward(
     model: MlpModel, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
@@ -153,7 +145,7 @@ def forward(
         z = a @ w.T + b
         preacts.append(z)
         if l == last:
-            a = _apply_output(z, model.spec.output_activation)
+            a = np.maximum(z, 0.0) if model.spec.output_activation == "relu" else z
             masks.append(None)
         else:
             a = np.maximum(z, 0.0)
@@ -182,15 +174,7 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> Gra
     if g.shape != cache.preacts[-1].shape:
         raise CacheError(f"loss_grad shape {g.shape} != output shape {cache.preacts[-1].shape}")
 
-    act = model.spec.output_activation
-    z_last = cache.preacts[-1]
-    if act == "identity":
-        delta = g
-    elif act == "relu":
-        delta = g * (z_last > 0.0)
-    else:  # softmax Jacobian: dz_i = p_i (g_i - sum_j g_j p_j)
-        prob = softmax(z_last)
-        delta = prob * (g - np.sum(g * prob, axis=1, keepdims=True))
+    delta = g * (cache.preacts[-1] > 0.0) if model.spec.output_activation == "relu" else g
 
     n = model.spec.n_layers
     grads_w: list[np.ndarray] = [np.empty(0)] * n

@@ -457,6 +457,29 @@ def test_criterion_8_head_interchangeability(direct_policies, grounded_reports):
     assert passed
 
 
+def test_grounding_activity_by_iteration(grounded_reports):
+    """Not a criterion: how much each grounded arm's grounding does, iteration by iteration.
+
+    Per iteration, pooled over the seeds' audit rows: the share of steps whose
+    grounded action differs from the policy's, then the share the gate accepted.
+    """
+    cfg = desk_cfg()
+    per_iter = cfg.epochs_per_iteration * cfg.steps_per_episode
+    for label, report in grounded_reports.items():
+        audits = [sr.audit_rows for sr in report.per_seed]
+        assert all(len(rows) == cfg.iterations * per_iter for rows in audits)
+        cells = []
+        for i in range(cfg.iterations):
+            window = [r for rows in audits for r in rows[i * per_iter : (i + 1) * per_iter]]
+            changed = sum(r[2] != r[3] for r in window) / len(window)
+            accepted = sum(bool(r[6]) for r in window) / len(window)
+            cells.append(f"{i + 1} {changed:.2f}/{accepted:.2f}")
+        print(
+            f"[INFO] {label} per iteration, grounded != policy / accepted over "
+            f"{len(audits)} seeds: " + ", ".join(cells)
+        )
+
+
 # --- criterion 9: DQN sanity ----------------------------------------------------------
 
 

@@ -1,8 +1,13 @@
 import configparser
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ugatlab
 from ugatlab.cli import (
     build_experiment_config,
     load_config_file,
@@ -165,6 +170,36 @@ def test_gradcheck_rejects_fewer_than_one_case(cases, capsys):
         main(["gradcheck", "--cases", cases])
     assert exc.value.code == 2
     assert f"argument --cases: must be >= 1: {cases}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "0", "-1", "inf"])
+def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--tolerance", tolerance])
+    assert exc.value.code == 2
+    assert f"argument --tolerance: must be finite and > 0: {tolerance}" in capsys.readouterr().err
+
+
+# a fresh interpreter, so modules that other tests imported do not count
+SCIPY_PROBE = """
+import sys
+from ugatlab.cli import main
+assert main(sys.argv[1:]) == 0
+print("scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loaded", [(["train-direct"], False), (["train-ugat", "--head", "edl"], True)]
+)
+def test_scipy_special_loads_only_when_the_evidential_loss_runs(command, loaded, tiny_config, tmp_path):
+    src = str(Path(ugatlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [*command, "--config", tiny_config, "--out", str(tmp_path / "out"), "--quiet"]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == [str(loaded)]
 
 
 def test_train_ugat_produces_run_layout(tiny_config, tmp_path):

@@ -12,6 +12,7 @@ from ugatlab.grounding import (
     InverseModel,
     UncertainAction,
     UntrainedModelError,
+    _entropy_uncertainty,
     edl_uncertainty,
     gate,
     ground,
@@ -184,6 +185,21 @@ def test_dropout_head_matches_scalar_mean_softmax_entropy():
     expected = -sum(p * math.log(p) for p in mean_p if p > 0) / math.log(8)
     assert u == pytest.approx(expected, abs=1e-12)
     assert a == int(np.argmax(mean_p))
+
+
+@pytest.mark.parametrize("passes, rate", [(2, 0.1), (10, 0.1), (400, 0.1), (10, 0.0)])
+def test_dropout_head_equals_per_pass_forwards_bit_for_bit(passes, rate):
+    # the stacked passes must give the bytes, and leave the stream where, M
+    # single forward() calls do; a batched (M, h) product would not
+    cfg = GroundingConfig(dropout_passes=passes, dropout_rate=rate)
+    im = InverseModel(cfg, "dropout", np.random.default_rng(3))
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for x in np.random.default_rng(4).normal(size=(5, 40)):
+        a, u = head_uncertainty(im, x, rng)
+        mean_p = np.mean([softmax(forward(im.members[0], x, ref_rng)[0]) for _ in range(passes)], axis=0)
+        assert a == int(np.argmax(mean_p))
+        assert u == _entropy_uncertainty(mean_p)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_edl_head_zero_evidence_ties_to_action_zero():

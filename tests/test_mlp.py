@@ -63,6 +63,12 @@ def test_forward_matches_scalar_trace_232():
     np.testing.assert_allclose(out, scalar_forward(model, x), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["softmax", "tanh"])
+def test_spec_rejects_an_output_activation_other_than_identity_or_relu(activation):
+    with pytest.raises(ValueError, match="unknown output activation"):
+        MlpSpec(layer_sizes=(3, 2), output_activation=activation)
+
+
 def test_forward_rejects_bad_input_width():
     model = make_model([3, 2])
     with pytest.raises(ShapeError):
