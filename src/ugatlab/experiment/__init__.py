@@ -13,7 +13,7 @@ from ugatlab.experiment.protocols import (
     compute_gap,
     evaluate,
     run_ablation,
-    run_direct_transfer,
+    run_arms,
     run_ugat,
     sweep_static_alpha,
     train_direct_policy,
@@ -34,7 +34,7 @@ __all__ = [
     "evaluate",
     "io",
     "run_ablation",
-    "run_direct_transfer",
+    "run_arms",
     "run_ugat",
     "sweep_static_alpha",
     "train_direct_policy",

@@ -18,15 +18,17 @@ Layout under the output root:
                              delta_mean,delta_std,seeds
     summary.txt              side-by-side table of real(gap) +/- std
 
-protocols.run_arms is the one writer of a protocol run. Worker processes only
-compute; it writes demands/ first, then each arm's seed directories in arm
-order, so the tree is the same for any --jobs.
+protocols.run_arms is the one writer of a protocol run. Its worker processes
+only compute, one (arm, seed) task each; it writes demands/ first, then each
+arm's seed directories in arm and seed order, so the tree is the same for any
+--jobs.
 
 Every command writes gap_report.csv in this one schema: the MetricStats
 fields sit between metric and seeds. gap-report reads each metrics.csv back
-into MetricsRecords and aggregates them as the protocols do, so on a
-protocol's run directory it reproduces that protocol's rows exactly except
-the label, which it sets to <protocol>/<scenario>. compare-uncertainty runs
+into MetricsRecords and aggregates them as the protocols do, over the seeds
+in ascending order (it reads seed10 before seed2), so on a protocol's run
+directory it reproduces that protocol's rows exactly except the label,
+which it sets to <protocol>/<scenario>. compare-uncertainty runs
 its edl, dropout and ensemble arms under the same ugat/<scenario>/seed<k>/
 directory, so only the last head's (ensemble's) per-seed files survive there.
 """

@@ -168,12 +168,17 @@ def _sample_std(values: np.ndarray) -> float:
 
 
 def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -> GapReport:
-    """Per-metric mean and sample std over seeds."""
+    """Per-metric mean and sample std over seeds.
+
+    The stats aggregate the seeds in ascending order, so any order of the
+    same seeds gives the same bytes; seeds and per_seed keep the given order.
+    """
+    ordered = sorted(per_seed, key=lambda r: r.seed)
     stats = {}
     for k in METRIC_KEYS:
-        sim = np.array([r.sim[k] for r in per_seed])
-        real = np.array([r.real[k] for r in per_seed])
-        delta = np.array([r.delta[k] for r in per_seed])
+        sim = np.array([r.sim[k] for r in ordered])
+        real = np.array([r.real[k] for r in ordered])
+        delta = np.array([r.delta[k] for r in ordered])
         stats[k] = MetricStats(
             sim_mean=float(sim.mean()),
             sim_std=_sample_std(sim),
@@ -304,18 +309,6 @@ def train_direct_policy(
     return state.agent, state.curve
 
 
-def run_direct_transfer(
-    cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None, demands: Schedules | None = None
-) -> GapReport:
-    train_demand, eval_demands = demands or _demands(cfg)
-    pretrained = pretrained or {}
-    per_seed = []
-    for seed in cfg.seeds:
-        agent, curve = train_direct_policy(cfg, seed, train_demand, pretrained.get(seed))
-        per_seed.append(_seed_result(cfg, seed, agent, eval_demands, curve))
-    return build_gap_report("direct", cfg.scenario, per_seed)
-
-
 # --- grounded training (vanilla and uncertainty-gated) --------------------------------
 
 
@@ -363,28 +356,23 @@ def _initial_rate(cfg: ExperimentConfig) -> GroundingRate:
     return GroundingRate()  # +inf until the first dynamic update
 
 
-def _run_grounded_seed(
-    cfg: ExperimentConfig,
-    seed: int,
-    train_demand: DemandSchedule,
-    eval_demands,
-    pretrained: PolicyState | None = None,
-) -> SeedResult:
-    """One seed of the grounded-training loop.
+def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Schedules) -> SeedResult:
+    """One seed of the grounded-training loop, continuing start in place.
 
-    Pre-train the policy (or continue pretrained, this seed's state after
-    cfg.pretrain_episodes, in place), then per iteration: collect sim and
-    real rollouts, refit the transformation models, clear the uncertainty
-    log, run E grounded policy-training episodes of T steps (gating every
-    step, learning every step), and finally update alpha under the dynamic
-    rule. gat pins alpha at +inf and ugat_static at its constant; both skip
-    the update. When pretrained carries first_rollouts, iteration 1 uses
-    them instead of collecting.
+    start is this seed's state after cfg.pretrain_episodes, with iteration
+    1's sim and real rollouts in first_rollouts. Per iteration: take those
+    rollouts (collect fresh ones from iteration 2 on), refit the
+    transformation models, clear the uncertainty log, run E grounded
+    policy-training episodes of T steps (gating every step, learning every
+    step), and finally update alpha under the dynamic rule. gat pins alpha at
+    +inf and ugat_static at its constant; both skip the update.
     """
-    state = pretrained if pretrained is not None else pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
-    streams, agent = state.streams, state.agent
+    if cfg.algorithm == "direct":
+        raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
+    train_demand, eval_demands = schedules
+    streams = start.streams
     sim_factory = _sim_factory(cfg, train_demand)
-    ahead, state.first_rollouts = state.first_rollouts, None
+    rollouts, start.first_rollouts = start.first_rollouts, None
 
     grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
     rate = _initial_rate(cfg)
@@ -410,37 +398,19 @@ def _run_grounded_seed(
         return executed
 
     for iteration in range(1, cfg.iterations + 1):
-        fresh = iteration > 1 or ahead is None
-        sim_rollouts, real_rollouts = collect_rollouts(cfg, state, train_demand) if fresh else ahead
-        d_sim.extend(sim_rollouts)
-        d_real.extend(real_rollouts)
+        if iteration > 1:
+            rollouts = collect_rollouts(cfg, start, train_demand)
+        d_sim.extend(rollouts[0])
+        d_real.extend(rollouts[1])
         grounder.fit(d_real, d_sim, streams["grounder_train"])
 
         rate.logged.clear()
-        state.train(sim_factory, cfg.epochs_per_iteration, step_hook=grounded_step)
+        start.train(sim_factory, cfg.epochs_per_iteration, step_hook=grounded_step)
         if cfg.algorithm == "ugat":
             update_alpha(rate)
         alpha_trace.append((iteration, rate.alpha))
 
-    return _seed_result(cfg, seed, agent, eval_demands, state.curve, audit_rows, alpha_trace)
-
-
-def run_ugat(
-    cfg: ExperimentConfig, pretrained: dict[int, PolicyState] | None = None, demands: Schedules | None = None
-) -> GapReport:
-    """The grounded protocol; pretrained maps a seed to its state to continue in place.
-
-    demands, when given, are cfg's (training, evaluation) schedules, made once
-    for a battery; both runners generate them otherwise.
-    """
-    if cfg.algorithm == "direct":
-        raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
-    train_demand, eval_demands = demands or _demands(cfg)
-    pretrained = pretrained or {}
-    per_seed = [
-        _run_grounded_seed(cfg, seed, train_demand, eval_demands, pretrained.get(seed)) for seed in cfg.seeds
-    ]
-    return build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)
+    return _seed_result(cfg, seed, start.agent, eval_demands, start.curve, audit_rows, alpha_trace)
 
 
 # --- batteries: ablation, sweep, head comparison ----------------------------------------
@@ -465,35 +435,38 @@ def _trains_alone(cfg: ExperimentConfig) -> bool:
     return cfg.algorithm == "direct" and cfg.direct_episodes < cfg.pretrain_episodes
 
 
-def _run_arm(
-    cfg: ExperimentConfig, starts: dict[int, PolicyState], demands: Schedules | None = None
-) -> GapReport:
-    """One arm's report; it continues its own copy of each seed's start."""
-    if _trains_alone(cfg):
-        starts = {}
-    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
-    return runner(cfg, copy.deepcopy(starts), demands)
+def _run_seed(
+    cfg: ExperimentConfig, seed: int, start: PolicyState | None, schedules: Schedules
+) -> SeedResult:
+    """One (arm, seed) task: cfg's runner on its own copy of seed's start (None: it trains alone)."""
+    start = copy.deepcopy(start)
+    if cfg.algorithm != "direct":
+        return run_ugat(cfg, seed, start, schedules)
+    train_demand, eval_demands = schedules
+    agent, curve = train_direct_policy(cfg, seed, train_demand, start)
+    return _seed_result(cfg, seed, agent, eval_demands, curve)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
-    """Run labelled protocol arms on up to `jobs` worker processes.
+    """Run labelled protocol arms, one task per (arm, seed), on up to `jobs` worker processes.
 
     The arms share one output root and agree on every field in _START_FIELDS
     (a battery whose arms differ in one is rejected), so every arm of a seed
-    starts the same way. What they share runs once, first, and every arm
+    starts the same way. What they share runs once, first, and every task
     continues its own copy, so the bytes are those of each arm run alone:
     - the demand schedules, generated once and handed to the demands/
-      writer, the starts and every arm;
+      writer, the starts and every task;
     - each seed's start: its pretraining and, when any arm grounds, the
       grounded loop's iteration-1 sim and real rollouts and the rollout
       stream after them. A direct arm reads neither, so it continues the
       same start unless its budget is below the pretraining.
-    The pool holds at most one worker per arm or seed.
+    The pool holds at most one worker per task.
 
-    The runners only compute; this is the one writer of the run tree. The
+    The tasks only compute; this is the one writer of the run tree. The
     shared demands/ directory is written first. Each arm's seed directories
-    follow in arm order as its report arrives, so the tree is the same for
-    any `jobs` and no two processes write one file.
+    follow in arm and seed order, and its GapReport is built from its seeds
+    in that order, so the tree is the same for any `jobs` and no two
+    processes write one file.
     """
     from ugatlab.experiment import io  # io imports this module
 
@@ -505,23 +478,24 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
     if differ:
         raise ValueError(f"the arms of a battery must agree on {', '.join(differ)}")
     schedules = _demands(base)
-    train_demand = schedules[0]
     if base.out_dir is not None:
         io.write_demands(base.out_dir, *schedules)
     grounds = any(cfg.algorithm != "direct" for cfg in configs)
     seeds = () if all(map(_trains_alone, configs)) else base.seeds
-    parallel = jobs > 1 and len(arms) > 1
-    workers = min(jobs, max(len(arms), len(base.seeds)))
+    tasks = [(cfg, seed) for cfg in configs for seed in base.seeds]
+    parallel = jobs > 1 and len(tasks) > 1
     rows = []
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
-        starts = dict(zip(seeds, mapper(_start, repeat(base), seeds, repeat(train_demand), repeat(grounds))))
-        reports = mapper(_run_arm, configs, repeat(starts), repeat(schedules))
-        for (label, cfg), report in zip(arms, reports):
+        starts = dict(zip(seeds, mapper(_start, repeat(base), seeds, repeat(schedules[0]), repeat(grounds))))
+        task_starts = [None if _trains_alone(cfg) else starts[seed] for cfg, seed in tasks]
+        results = mapper(_run_seed, *zip(*tasks), task_starts, repeat(schedules))
+        for label, cfg in arms:
+            per_seed = [next(results) for _ in base.seeds]
             if base.out_dir is not None:
-                for result in report.per_seed:
-                    io.write_seed_run(cfg, report.protocol, result)
-            rows.append((label, report))
+                for result in per_seed:
+                    io.write_seed_run(cfg, cfg.protocol_label, result)
+            rows.append((label, build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)))
     return rows
 
 

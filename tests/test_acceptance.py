@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from ugatlab.dqn import DqnConfig, FixedCycleController
-from ugatlab.experiment import ExperimentConfig, io, protocols, run_ugat
+from ugatlab.experiment import ExperimentConfig, io, protocols, run_arms, run_ugat
 from ugatlab.experiment.protocols import (
     _demands,
-    _run_grounded_seed,
     _seed_result,
     build_gap_report,
     pretrain,
-    run_direct_transfer,
     train_direct_policy,
 )
 from ugatlab.grounding import GroundingConfig, UncertainAction, edl_uncertainty
@@ -259,6 +257,12 @@ def mock_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def run_one(cfg):
+    """cfg's report from a one-arm battery: the arm run alone."""
+    ((_, report),) = run_arms([(cfg.protocol_label, cfg)])
+    return report
+
+
 def seed_trace(report):
     sr = report.per_seed[0]
     return (
@@ -278,12 +282,11 @@ def test_criterion_5_algorithm_fidelity():
     us_iter1 = [0.25, 0.75, 0.5, 0.5, 0.25, 0.75]  # mean exactly 0.5
     us_iter2 = [0.5, 0.3, 0.6, 0.49, 0.51, 0.5]
     grounder = ScriptedGrounder(us_iter1 + us_iter2)
-    train_demand, eval_demands = _demands(cfg)
     with (
         mock.patch.object(protocols, "Grounder", lambda c, a, b: grounder),
         mock.patch.object(protocols, "DqnAgent", lambda dqn, rng: ScriptedAgent(dqn)),
     ):
-        result = _run_grounded_seed(cfg, 1, train_demand, eval_demands)
+        (result,) = run_one(cfg).per_seed
     checks = {}
     per_iter = cfg.epochs_per_iteration * cfg.steps_per_episode
     checks["log length T*E per iteration"] = grounder.calls == 2 * per_iter and all(
@@ -307,12 +310,12 @@ def test_criterion_5_algorithm_fidelity():
     checks["executed-action trace matches hand trace"] = executed == expected_executed
 
     # protocol equivalences as identical traces
-    direct_a = run_direct_transfer(mock_cfg(algorithm="direct"))
-    direct_b = run_direct_transfer(mock_cfg(algorithm="direct"))
+    direct_a = run_one(mock_cfg(algorithm="direct"))
+    direct_b = run_one(mock_cfg(algorithm="direct"))
     checks["direct == w/o-grounding (bitwise)"] = seed_trace(direct_a) == seed_trace(direct_b)
 
-    gat = run_ugat(mock_cfg(algorithm="gat", head="logits", pretrain_episodes=1))
-    pinned = run_ugat(
+    gat = run_one(mock_cfg(algorithm="gat", head="logits", pretrain_episodes=1))
+    pinned = run_one(
         mock_cfg(
             algorithm="ugat_static", static_alpha=math.inf, head="logits", pretrain_episodes=1
         )
@@ -368,9 +371,10 @@ def direct_policies(pretrained):
 def grounded_reports(pretrained):
     """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha.
 
-    Every arm continues its own copy of one start per seed, as in run_arms:
-    the arms agree with the fixture's config on every field a start reads,
-    so each start is the fixture's pretraining with iteration 1's rollouts
+    Every (arm, seed) run continues its own copy of one start per seed, and
+    each arm's report is built from its seeds in order, as in run_arms: the
+    arms agree with the fixture's config on every field a start reads, so
+    each start is the fixture's pretraining with iteration 1's rollouts
     collected into a copy of it.
     """
     arms = [
@@ -391,7 +395,14 @@ def grounded_reports(pretrained):
     for seed in SEEDS:
         starts[seed] = copy.deepcopy(pretrained[seed])
         starts[seed].first_rollouts = protocols.collect_rollouts(arms[0][1], starts[seed], demands[0])
-    return {label: protocols._run_arm(cfg, starts, demands) for label, cfg in arms}
+    return {
+        label: build_gap_report(
+            cfg.protocol_label,
+            cfg.scenario,
+            [run_ugat(cfg, seed, copy.deepcopy(starts[seed]), demands) for seed in SEEDS],
+        )
+        for label, cfg in arms
+    }
 
 
 def test_criterion_6_gap_existence(direct_policies):
@@ -477,6 +488,31 @@ def test_grounding_activity_by_iteration(grounded_reports):
         print(
             f"[INFO] {label} per iteration, grounded != policy / accepted over "
             f"{len(audits)} seeds: " + ", ".join(cells)
+        )
+
+
+def test_paired_arm_comparisons(direct_policies, grounded_reports):
+    """Not a criterion: the soft ordering's adjacent pairs, seed by seed.
+
+    The arms of a seed share its start, demands and evaluation schedules, so
+    a per-seed difference of ATT gaps isolates what grounding did for that
+    seed. Per pair: the differences left - right, their mean and sample std,
+    and how many seeds favour the left arm (a smaller gap).
+    """
+    arms = [
+        ("ugat", grounded_reports["edl"]),
+        ("static_0.5", grounded_reports["static_0.5"]),
+        ("gat", grounded_reports["gat"]),
+        ("direct", direct_policies["V1"]),
+    ]
+    for (left, a), (right, b) in zip(arms, arms[1:]):
+        assert a.seeds == b.seeds == SEEDS
+        diffs = np.array([x.delta["ATT"] - y.delta["ATT"] for x, y in zip(a.per_seed, b.per_seed)])
+        favour = int((diffs < 0).sum())
+        print(
+            f"[INFO] paired ATT_gap {left} - {right} on seeds {list(SEEDS)}: "
+            f"[{', '.join(f'{d:.3f}' for d in diffs)}], mean {diffs.mean():.3f}, "
+            f"sample std {diffs.std(ddof=1):.3f}, {left} smaller on {favour}/{len(diffs)} seeds"
         )
 
 

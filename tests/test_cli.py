@@ -353,11 +353,13 @@ episode_length = 600.0
 """
 
 
-def test_gap_report_reproduces_the_protocol_rows(tmp_path):
+@pytest.mark.parametrize("seeds", ["1,2", "3,1,10"])  # gap-report reads seed10 before seed3
+def test_gap_report_reproduces_the_protocol_rows(tmp_path, seeds):
     cfg = tmp_path / "gap.cfg"
     cfg.write_text(GAP_REPORT_CHECK)
     out = tmp_path / "out"
-    assert main(["train-direct", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    argv = ["train-direct", "--config", str(cfg), "--seeds", seeds, "--out", str(out), "--quiet"]
+    assert main(argv) == 0
     merged = tmp_path / "merged"
     assert main(["gap-report", str(out / "direct" / "V4"), "--out", str(merged), "--quiet"]) == 0
     protocol_rows = read_gap_csv(out / "gap_report.csv")

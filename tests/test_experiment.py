@@ -11,11 +11,10 @@ from ugatlab.experiment import (
     aggregate_metrics,
     compute_gap,
     run_ablation,
-    run_direct_transfer,
-    run_ugat,
+    run_arms,
 )
 from ugatlab.experiment import io, protocols
-from ugatlab.experiment.protocols import _run_grounded_seed, _demands
+from ugatlab.experiment.protocols import _demands
 from ugatlab.grounding import GroundingConfig, UncertainAction
 from ugatlab.sim import N_LANES, N_PHASES, MetricsRecord, SimConfig
 
@@ -41,6 +40,12 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def run_one(cfg):
+    """cfg's report from a one-arm battery: the arm run alone."""
+    ((_, report),) = run_arms([(cfg.protocol_label, cfg)])
+    return report
 
 
 def test_default_state_scale_divides_lane_counts_by_the_count_scale():
@@ -142,17 +147,11 @@ class ScriptedAgent:
 
 def run_scripted(cfg, uncertainties):
     grounder = ScriptedGrounder(uncertainties)
-    train_demand, eval_demands = _demands(cfg)
     with (
         mock.patch.object(protocols, "Grounder", lambda c, init_rng, head_rng: grounder),
         mock.patch.object(protocols, "DqnAgent", lambda dqn, rng: ScriptedAgent(dqn)),
     ):
-        result = _run_grounded_seed(
-            cfg,
-            seed=1,
-            train_demand=train_demand,
-            eval_demands=eval_demands,
-        )
+        (result,) = run_one(cfg).per_seed
     return result, grounder
 
 
@@ -209,8 +208,8 @@ def test_uncertainty_log_length_is_steps_times_epochs():
 # --- protocol equivalences -------------------------------------------------------
 
 
-def seed_trace(report):
-    sr = report.per_seed[0]
+def seed_trace(report, i=0):
+    sr = report.per_seed[i]
     return (
         [tuple(r) for r in sr.audit_rows],
         sr.alpha_trace,
@@ -221,8 +220,8 @@ def seed_trace(report):
 
 
 def test_gat_equals_alpha_pinned_static_ugat():
-    gat = run_ugat(tiny_cfg(algorithm="gat", head="logits", pretrain_episodes=1))
-    pinned = run_ugat(
+    gat = run_one(tiny_cfg(algorithm="gat", head="logits", pretrain_episodes=1))
+    pinned = run_one(
         tiny_cfg(
             algorithm="ugat_static",
             static_alpha=math.inf,
@@ -238,7 +237,7 @@ def test_gat_equals_alpha_pinned_static_ugat():
 
 def test_ablation_no_grounding_row_equals_direct_transfer():
     cfg = tiny_cfg(algorithm="ugat", pretrain_episodes=1)
-    direct = run_direct_transfer(replace(cfg, algorithm="direct"))
+    direct = run_one(replace(cfg, algorithm="direct"))
     rows = dict(run_ablation(cfg))
     assert seed_trace(rows["no_grounding"]) == seed_trace(direct)
     assert rows["no_grounding"].stats == direct.stats
@@ -250,12 +249,14 @@ def run_tree(root):
 
 
 def test_parallel_ablation_equals_serial(tmp_path):
-    cfg = tiny_cfg(algorithm="ugat", pretrain_episodes=1)
+    # 4 arms x 2 seeds on 2 workers: the (arm, seed) tasks finish out of order
+    cfg = tiny_cfg(algorithm="ugat", seeds=(1, 2), pretrain_episodes=1)
     serial = run_ablation(replace(cfg, out_dir=str(tmp_path / "serial")))
     parallel = run_ablation(replace(cfg, out_dir=str(tmp_path / "parallel")), jobs=2)
     assert [label for label, _ in parallel] == [label for label, _ in serial]
     for (_, s), (_, p) in zip(serial, parallel):
-        assert seed_trace(p) == seed_trace(s)
+        assert p.seeds == s.seeds == (1, 2)
+        assert [seed_trace(p, i) for i in range(2)] == [seed_trace(s, i) for i in range(2)]
         assert p.stats == s.stats
     serial_tree = run_tree(tmp_path / "serial")
     assert {"demands/train.csv", "demands/eval0.csv"} <= set(serial_tree)
@@ -342,9 +343,8 @@ def run_arms_fingerprints(monkeypatch, arms):
 
 
 def run_alone(monkeypatch, cfg):
-    """The fingerprint of cfg's arm run by itself, and what it called."""
-    runner = run_direct_transfer if cfg.algorithm == "direct" else run_ugat
-    report, calls = run_recorded(monkeypatch, lambda: runner(cfg))
+    """The fingerprint of cfg's arm run by itself, in a one-arm battery, and what it called."""
+    report, calls = run_recorded(monkeypatch, lambda: run_one(cfg))
     return arm_fingerprint(report, calls["q"]), calls
 
 
@@ -380,7 +380,11 @@ def test_a_direct_arm_below_the_pretraining_budget_runs_no_start(monkeypatch):
     cfg = tiny_cfg(algorithm="direct", seeds=(1, 2), pretrain_episodes=2, direct_episodes=1)
     ((_, report),), calls = run_recorded(monkeypatch, lambda: protocols.run_arms([("direct", cfg)]))
     assert calls["pretrain"] == [1, 2]  # the arm's own training, and no start beside it
-    assert arm_fingerprint(report, calls["q"]) == run_alone(monkeypatch, cfg)[0]
+    train_demand, _ = _demands(cfg)
+    for sr, q in zip(report.per_seed, calls["q"], strict=True):
+        agent, curve = protocols.train_direct_policy(cfg, sr.seed, train_demand)
+        assert [astuple(r) for r in sr.training_curve] == [astuple(r) for r in curve]
+        assert q == agent.q_model.params.tobytes() + agent.target_model.params.tobytes()
 
 
 def test_run_arms_rejects_jobs_below_one():
@@ -438,8 +442,8 @@ def test_run_arms_pool_has_at_most_one_worker_per_arm_or_seed(monkeypatch):
     protocols.run_arms([(label, replace(c, seeds=(1, 2, 3))) for label, c in two_arms], jobs=64)
     protocols.run_arms([(label, replace(c, seeds=(1, 2, 3))) for label, c in two_arms], jobs=2)
     run_ablation(cfg, jobs=64)
-    protocols.run_arms([("a", cfg)], jobs=64)  # one arm runs in this process
-    assert sizes == [2, 3, 2, 4]
+    protocols.run_arms([("a", cfg)], jobs=64)  # one (arm, seed) task runs in this process
+    assert sizes == [2, 6, 2, 4]
 
 
 def test_direct_transfer_refuses_a_state_past_its_budget():
@@ -453,11 +457,12 @@ def test_direct_transfer_refuses_a_state_past_its_budget():
 def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monkeypatch):
     cfg = tiny_cfg(algorithm="direct", out_dir=str(tmp_path))
     seen = []
+    run_seed = protocols._run_seed
 
-    def fake_arm(arm_cfg, pretrained=None, demands=None):
+    def recording_run_seed(task_cfg, seed, start, schedules):
         seen.append(sorted(p.name for p in (tmp_path / "demands").glob("*")))
-        handed.append(demands)
-        return protocols.GapReport(arm_cfg.algorithm, arm_cfg.scenario, (), [], {})
+        handed.append(schedules)
+        return run_seed(task_cfg, seed, start, schedules)
 
     handed, written = [], []
     write_demands = io.write_demands
@@ -466,7 +471,7 @@ def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monk
         written.append(demands)
         write_demands(out, *demands)
 
-    monkeypatch.setattr(protocols, "_run_arm", fake_arm)
+    monkeypatch.setattr(protocols, "_run_seed", recording_run_seed)
     monkeypatch.setattr(io, "write_demands", recording_write_demands)
     protocols.run_arms([("a", cfg), ("b", cfg)])
     assert seen == [["eval0.csv", "train.csv"]] * 2
@@ -497,8 +502,10 @@ def test_metrics_csv_reads_back_into_the_evaluated_records(tmp_path):
 
 def test_protocol_runners_write_nothing(tmp_path):
     cfg = tiny_cfg(pretrain_episodes=1, out_dir=str(tmp_path))
-    run_ugat(cfg)
-    run_direct_transfer(replace(cfg, algorithm="direct"))
+    schedules = _demands(cfg)
+    start = protocols._start(cfg, 1, schedules[0], collect=True)
+    protocols._run_seed(cfg, 1, start, schedules)
+    protocols._run_seed(replace(cfg, algorithm="direct"), 1, start, schedules)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -573,7 +580,7 @@ def test_alpha_trace_replays_from_audit_log():
     # dynamic alpha after iteration i equals the mean of that iteration's
     # logged uncertainties, replayed from the emitted audit rows
     cfg = tiny_cfg(pretrain_episodes=1, iterations=2, epochs_per_iteration=2)
-    report = run_ugat(cfg)
+    report = run_one(cfg)
     sr = report.per_seed[0]
     per_iter = cfg.epochs_per_iteration * cfg.steps_per_episode
     for i, (_, alpha) in enumerate(sr.alpha_trace):
@@ -583,15 +590,15 @@ def test_alpha_trace_replays_from_audit_log():
 
 def test_repeated_run_reproduces_bitwise():
     cfg = tiny_cfg(pretrain_episodes=1)
-    a = run_ugat(cfg)
-    b = run_ugat(cfg)
+    a = run_one(cfg)
+    b = run_one(cfg)
     assert seed_trace(a) == seed_trace(b)
     for k in a.stats:
         assert a.stats[k] == b.stats[k]
 
 
 def test_gap_identity_on_every_report_row():
-    report = run_direct_transfer(tiny_cfg(algorithm="direct", seeds=(1, 2)))
+    report = run_one(tiny_cfg(algorithm="direct", seeds=(1, 2)))
     for sr in report.per_seed:
         for k, v in sr.delta.items():
             assert v == sr.real[k] - sr.sim[k]
@@ -615,7 +622,7 @@ def test_sweep_contains_nonconstant_dynamic_row_and_matches_single_calls():
     assert set(rows) == {"dynamic", "alpha_0.4"}
     dynamic_alphas = [a for _, a in rows["dynamic"].per_seed[0].alpha_trace]
     assert len(set(dynamic_alphas)) > 1  # the dynamic rate actually moves
-    single = run_ugat(replace(cfg, algorithm="ugat_static", static_alpha=0.4))
+    single = run_one(replace(cfg, algorithm="ugat_static", static_alpha=0.4))
     assert seed_trace(rows["alpha_0.4"]) == seed_trace(single)
 
 
@@ -628,5 +635,5 @@ def test_compare_uncertainty_rows_and_gat_equivalence():
     for label, report in rows.items():
         assert set(report.stats) == {"ATT", "TP", "Reward", "Queue", "Delay"}
         assert report.per_seed[0].alpha_trace  # per-method alpha traces logged
-    standalone = run_ugat(replace(cfg, algorithm="gat", head="logits"))
+    standalone = run_one(replace(cfg, algorithm="gat", head="logits"))
     assert seed_trace(rows["gat"]) == seed_trace(standalone)
