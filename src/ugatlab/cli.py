@@ -21,16 +21,14 @@ import numpy as np
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.experiment import (
-    EvalResult,
     ExperimentConfig,
-    SeedResult,
     compare_uncertainty_methods,
     io,
     run_ablation,
     sweep_static_alpha,
 )
 from ugatlab.experiment.config import NON_EXPERIMENT_KEYS
-from ugatlab.experiment.protocols import build_gap_report, run_arms
+from ugatlab.experiment.protocols import run_arms
 from ugatlab.grounding import GroundingConfig
 from ugatlab.numnet import gradcheck, random_cases
 from ugatlab.sim import N_LANES, SimConfig, generate_demand, save_demand
@@ -177,13 +175,13 @@ def cmd_gap_report(args) -> int:
             if not {"sim", "real"} <= episodes.keys():
                 incomplete.append(str(sd))
                 continue
-            sim, real = (EvalResult(episodes[env]) for env in ("sim", "real"))
-            per_seed.append(SeedResult(int(seed), sim, real))
+            sim, real = (io.EvalResult(episodes[env]) for env in ("sim", "real"))
+            per_seed.append(io.SeedResult(int(seed), sim, real))
         if not per_seed:
             incomplete.append(str(base))
             continue
         label = f"{base.parent.name}/{base.name}" if base.parent.name else base.name
-        rows.append((label, build_gap_report(base.parent.name, base.name, per_seed)))
+        rows.append((label, io.build_gap_report(base.parent.name, base.name, per_seed)))
     path = io.write_gap_reports(resolve_out_dir(args), rows)
     if not args.quiet:
         print(f"wrote {path}")

@@ -62,8 +62,12 @@ class DqnConfig:
             raise ValueError(
                 f"replay_capacity must be >= batch_size ({self.batch_size}): {self.replay_capacity}"
             )
+        if any(n < 1 for n in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be >= 1 each: {self.hidden_sizes}")
         if self.state_scale is not None and len(self.state_scale) != self.state_dim:
             raise ValueError("state_scale length must equal state_dim")
+        if self.state_scale is not None and not all(map(math.isfinite, self.state_scale)):
+            raise ValueError(f"state_scale must be finite: {self.state_scale}")
 
 
 class ReplayBuffer:
@@ -274,6 +278,3 @@ class FixedCycleController:
         phase = self.phases[(self._k // self.dwell) % len(self.phases)]
         self._k += 1
         return phase
-
-    def reset(self) -> None:
-        self._k = 0

@@ -1,16 +1,10 @@
 """End-to-end protocols: direct transfer, grounded training, ablations, gaps."""
 
 from ugatlab.experiment.config import ExperimentConfig
+from ugatlab.experiment.io import METRIC_KEYS, EvalResult, GapReport, MetricStats, SeedResult, compute_gap
 from ugatlab.experiment.protocols import (
-    METRIC_KEYS,
-    EvalResult,
-    GapReport,
     Grounder,
-    MetricStats,
-    SeedResult,
-    aggregate_metrics,
     compare_uncertainty_methods,
-    compute_gap,
     evaluate,
     run_ablation,
     run_arms,
@@ -28,7 +22,6 @@ __all__ = [
     "METRIC_KEYS",
     "MetricStats",
     "SeedResult",
-    "aggregate_metrics",
     "compare_uncertainty_methods",
     "compute_gap",
     "evaluate",

@@ -1,4 +1,7 @@
-"""Run-directory layout and CSV/report writers.
+"""The gap report: its types, its writers and reader, and the run-directory layout.
+
+A SeedResult holds one seed's per-metric means in both twins and their gap,
+real - sim; build_gap_report aggregates an arm's seeds into a GapReport.
 
 Layout under the output root:
 
@@ -37,19 +40,118 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
+import numpy as np
+
+from ugatlab.dqn import EpisodeRecord
 from ugatlab.experiment.config import (
     FORMAT_VERSION,
     NESTED_SECTIONS,
     NON_EXPERIMENT_KEYS,
     ExperimentConfig,
 )
-from ugatlab.experiment.protocols import METRIC_KEYS, GapReport, MetricStats, SeedResult
 from ugatlab.sim import N_LANES, STATE_DIM, DemandSchedule, MetricsRecord, save_demand
 
 _RECORD_TYPES = get_type_hints(MetricsRecord)  # field -> type, to read metrics.csv back
+
+# report key -> MetricsRecord field; the field names are the metrics.csv columns
+METRIC_FIELDS = {"ATT": "att", "TP": "tp", "Reward": "reward_mean", "Queue": "queue_mean", "Delay": "delay"}
+METRIC_KEYS = tuple(METRIC_FIELDS)
+
+
+def compute_gap(real: dict[str, float], sim: dict[str, float]) -> dict[str, float]:
+    """Per-metric transfer gap: value in the real twin minus the sim twin."""
+    return {k: real[k] - sim[k] for k in METRIC_KEYS}
+
+
+@dataclass
+class EvalResult:
+    """Greedy-policy evaluation over a set of demand schedules; mean is per metric over episodes."""
+
+    episodes: list[MetricsRecord]
+    trajectory_rows: list[tuple] = field(default_factory=list)  # trajectory.csv rows, in column order
+    vehicle_rows: list[tuple] = field(default_factory=list)
+    mean: dict[str, float] = field(init=False)
+
+    def __post_init__(self):
+        self.mean = {
+            k: float(np.array([float(getattr(r, f)) for r in self.episodes]).mean())
+            for k, f in METRIC_FIELDS.items()
+        }
+
+
+@dataclass
+class SeedResult:
+    """One seed in both twins: per-metric episode means and their gap, real - sim."""
+
+    seed: int
+    sim_eval: EvalResult
+    real_eval: EvalResult
+    training_curve: list[EpisodeRecord] = field(default_factory=list)
+    audit_rows: list[tuple] = field(default_factory=list)
+    alpha_trace: list[tuple[int, float]] = field(default_factory=list)
+    sim: dict[str, float] = field(init=False)
+    real: dict[str, float] = field(init=False)
+    delta: dict[str, float] = field(init=False)
+
+    def __post_init__(self):
+        self.sim, self.real = self.sim_eval.mean, self.real_eval.mean
+        self.delta = compute_gap(self.real, self.sim)
+
+
+@dataclass(frozen=True)
+class MetricStats:
+    sim_mean: float
+    sim_std: float
+    real_mean: float
+    real_std: float
+    delta_mean: float
+    delta_std: float
+
+
+@dataclass
+class GapReport:
+    protocol: str
+    scenario: str
+    seeds: tuple[int, ...]
+    per_seed: list[SeedResult]
+    stats: dict[str, MetricStats]
+
+
+def _sample_std(values: np.ndarray) -> float:
+    return float(values.std(ddof=1)) if len(values) > 1 else 0.0
+
+
+def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -> GapReport:
+    """Per-metric mean and sample std over seeds.
+
+    The stats aggregate the seeds in ascending order, so any order of the
+    same seeds gives the same bytes; seeds and per_seed keep the given order.
+    """
+    ordered = sorted(per_seed, key=lambda r: r.seed)
+    stats = {}
+    for k in METRIC_KEYS:
+        sim = np.array([r.sim[k] for r in ordered])
+        real = np.array([r.real[k] for r in ordered])
+        delta = np.array([r.delta[k] for r in ordered])
+        stats[k] = MetricStats(
+            sim_mean=float(sim.mean()),
+            sim_std=_sample_std(sim),
+            real_mean=float(real.mean()),
+            real_std=_sample_std(real),
+            delta_mean=float(delta.mean()),
+            delta_std=_sample_std(delta),
+        )
+    return GapReport(
+        protocol=protocol,
+        scenario=scenario,
+        seeds=tuple(r.seed for r in per_seed),
+        per_seed=per_seed,
+        stats=stats,
+    )
 
 
 def _fmt(value) -> str:

@@ -1,4 +1,4 @@
-"""Protocol runners: train, ground, gate, evaluate, and report the gaps."""
+"""Protocol runners: train, ground, gate and evaluate; io reports the gaps."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ugatlab.dqn import DqnAgent, EpisodeRecord, ReplayBuffer, Transition, play_episode, train_policy
+from ugatlab.experiment import io
 from ugatlab.experiment.config import ExperimentConfig
+from ugatlab.experiment.io import EvalResult, GapReport, SeedResult, build_gap_report
 from ugatlab.grounding import (
     ForwardModel,
     GroundingRate,
@@ -36,10 +38,6 @@ from ugatlab.sim import (
     generate_demand,
 )
 
-# report key -> MetricsRecord field; the field names are the metrics.csv columns
-METRIC_FIELDS = {"ATT": "att", "TP": "tp", "Reward": "reward_mean", "Queue": "queue_mean", "Delay": "delay"}
-METRIC_KEYS = tuple(METRIC_FIELDS)
-
 _STREAM_NAMES = ("agent_init", "act", "replay", "rollout", "grounder_init", "grounder_train", "head")
 
 
@@ -53,45 +51,7 @@ def state_hash(state: np.ndarray) -> str:
     return hashlib.blake2b(np.ascontiguousarray(state).tobytes(), digest_size=8).hexdigest()
 
 
-def metric_values(record) -> dict[str, float]:
-    if isinstance(record, MetricsRecord):
-        return {k: float(getattr(record, f)) for k, f in METRIC_FIELDS.items()}
-    return {k: float(record[k]) for k in METRIC_KEYS}
-
-
-def compute_gap(real, sim) -> dict[str, float]:
-    """Per-metric transfer gap: value in the real twin minus the sim twin."""
-    r, s = metric_values(real), metric_values(sim)
-    return {k: r[k] - s[k] for k in METRIC_KEYS}
-
-
 # --- evaluation --------------------------------------------------------------
-
-
-@dataclass
-class EvalResult:
-    """Greedy-policy evaluation over a set of demand schedules.
-
-    mean/std aggregate per metric over episodes; std is the population
-    standard deviation (a single episode evaluates to std 0).
-    """
-
-    episodes: list[MetricsRecord]
-    trajectory_rows: list[tuple] = field(default_factory=list)  # trajectory.csv rows, in column order
-    vehicle_rows: list[tuple] = field(default_factory=list)
-    mean: dict[str, float] = field(init=False)
-    std: dict[str, float] = field(init=False)
-
-    def __post_init__(self):
-        self.mean, self.std = aggregate_metrics(self.episodes)
-
-
-def aggregate_metrics(records: Sequence[MetricsRecord]) -> tuple[dict[str, float], dict[str, float]]:
-    """Mean and population std per metric over evaluation episodes."""
-    values = {k: np.array([metric_values(r)[k] for r in records]) for k in METRIC_KEYS}
-    mean = {k: float(v.mean()) for k, v in values.items()}
-    std = {k: float(v.std()) for k, v in values.items()}
-    return mean, std
 
 
 def evaluate(
@@ -120,80 +80,6 @@ def evaluate(
             for c in env.completed
         )
     return EvalResult(episodes=records, trajectory_rows=traj_rows, vehicle_rows=veh_rows)
-
-
-# --- report types --------------------------------------------------------------
-
-
-@dataclass
-class SeedResult:
-    """One seed in both twins: per-metric episode means and their gap, real - sim."""
-
-    seed: int
-    sim_eval: EvalResult
-    real_eval: EvalResult
-    training_curve: list[EpisodeRecord] = field(default_factory=list)
-    audit_rows: list[tuple] = field(default_factory=list)
-    alpha_trace: list[tuple[int, float]] = field(default_factory=list)
-    sim: dict[str, float] = field(init=False)
-    real: dict[str, float] = field(init=False)
-    delta: dict[str, float] = field(init=False)
-
-    def __post_init__(self):
-        self.sim, self.real = self.sim_eval.mean, self.real_eval.mean
-        self.delta = compute_gap(self.real, self.sim)
-
-
-@dataclass(frozen=True)
-class MetricStats:
-    sim_mean: float
-    sim_std: float
-    real_mean: float
-    real_std: float
-    delta_mean: float
-    delta_std: float
-
-
-@dataclass
-class GapReport:
-    protocol: str
-    scenario: str
-    seeds: tuple[int, ...]
-    per_seed: list[SeedResult]
-    stats: dict[str, MetricStats]
-
-
-def _sample_std(values: np.ndarray) -> float:
-    return float(values.std(ddof=1)) if len(values) > 1 else 0.0
-
-
-def build_gap_report(protocol: str, scenario: str, per_seed: list[SeedResult]) -> GapReport:
-    """Per-metric mean and sample std over seeds.
-
-    The stats aggregate the seeds in ascending order, so any order of the
-    same seeds gives the same bytes; seeds and per_seed keep the given order.
-    """
-    ordered = sorted(per_seed, key=lambda r: r.seed)
-    stats = {}
-    for k in METRIC_KEYS:
-        sim = np.array([r.sim[k] for r in ordered])
-        real = np.array([r.real[k] for r in ordered])
-        delta = np.array([r.delta[k] for r in ordered])
-        stats[k] = MetricStats(
-            sim_mean=float(sim.mean()),
-            sim_std=_sample_std(sim),
-            real_mean=float(real.mean()),
-            real_std=_sample_std(real),
-            delta_mean=float(delta.mean()),
-            delta_std=_sample_std(delta),
-        )
-    return GapReport(
-        protocol=protocol,
-        scenario=scenario,
-        seeds=tuple(r.seed for r in per_seed),
-        per_seed=per_seed,
-        stats=stats,
-    )
 
 
 # --- shared plumbing --------------------------------------------------------------
@@ -450,9 +336,11 @@ def _run_seed(
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
     """Run labelled protocol arms, one task per (arm, seed), on up to `jobs` worker processes.
 
-    The arms share one output root and agree on every field in _START_FIELDS
-    (a battery whose arms differ in one is rejected), so every arm of a seed
-    starts the same way. What they share runs once, first, and every task
+    The arms share one output root. Their labels must be distinct, since a
+    label names the arm's rows of the report, and they must agree on every
+    field in _START_FIELDS, so every arm of a seed starts the same way; a
+    battery that breaks either is rejected before anything is written. What
+    the arms share runs once, first, and every task
     continues its own copy, so the bytes are those of each arm run alone:
     - the demand schedules, generated once and handed to the demands/
       writer, the starts and every task;
@@ -468,10 +356,11 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
     in that order, so the tree is the same for any `jobs` and no two
     processes write one file.
     """
-    from ugatlab.experiment import io  # io imports this module
-
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
+    labels = [label for label, _ in arms]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"the arms of a battery need distinct labels: {', '.join(labels)}")
     configs = [cfg for _, cfg in arms]
     base = configs[0]
     differ = [name for name in _START_FIELDS if any(getattr(c, name) != getattr(base, name) for c in configs)]

@@ -77,6 +77,9 @@ class GroundingConfig:
         for name in ("train_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1: {getattr(self, name)}")
+        for name in ("forward_hidden", "inverse_hidden"):
+            if any(n < 1 for n in getattr(self, name)):
+                raise ValueError(f"{name} must be >= 1 each: {getattr(self, name)}")
         for name in ("count_scale", "learning_rate"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and > 0: {getattr(self, name)}")

@@ -386,6 +386,10 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
         ("grounding", "train_epochs", "0"),
         ("grounding", "batch_size", "0"),
         ("grounding", "learning_rate", "-1.0"),
+        ("grounding", "inverse_hidden", "0"),
+        ("grounding", "forward_hidden", "64,0"),
+        ("dqn", "hidden_sizes", "64,0"),
+        ("dqn", "state_scale", ",".join(["nan"] + ["1.0"] * 19)),
         ("dqn", "batch_size", "0"),
         ("dqn", "target_sync_period", "0"),
         ("dqn", "learning_rate", "nan"),
@@ -458,6 +462,17 @@ def test_sweep_alpha_dynamic_arm_has_no_static_alpha(tiny_config, tmp_path):
     assert "static_alpha = None\n" in dynamic
     static = (out / "ugat_static_0.5" / "V1" / "seed1" / "manifest.txt").read_text()
     assert "static_alpha = 0.5\n" in static
+
+
+@pytest.mark.parametrize("alphas", ["0.4,0.40", "0.1234561,0.1234562"])
+def test_sweep_alpha_rejects_rates_that_share_a_label(alphas, tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sweep-alpha", "--config", tiny_config, "--out", str(out), "--alpha", alphas, "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ugatlab: error: config:")
+    assert "distinct labels" in err
+    assert not out.exists()
 
 
 def test_parallel_jobs_smoke(tiny_config, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.experiment import (
+    EvalResult,
     ExperimentConfig,
-    aggregate_metrics,
     compute_gap,
     run_ablation,
     run_arms,
@@ -73,34 +73,31 @@ def rec(att=0.0, tp=0, reward=0.0, queue=0.0, delay=0.0):
 # --- gap arithmetic -----------------------------------------------------------
 
 
+def means(*records):
+    return EvalResult(list(records)).mean
+
+
 def test_gap_zero_when_equal():
-    r = rec(att=10.0, tp=5, reward=-1.0, queue=2.0, delay=0.1)
+    r = means(rec(att=10.0, tp=5, reward=-1.0, queue=2.0, delay=0.1))
     assert all(v == 0.0 for v in compute_gap(r, r).values())
 
 
 def test_gap_matches_published_reference_arithmetic():
-    real = rec(att=158.93)
-    sim = rec(att=111.24)
+    real = means(rec(att=158.93))
+    sim = means(rec(att=111.24))
     assert compute_gap(real, sim)["ATT"] == pytest.approx(47.69, abs=1e-9)
 
 
 def test_gap_antisymmetry():
-    a = rec(att=5.0, tp=7, reward=-2.0, queue=1.0, delay=0.4)
-    b = rec(att=9.0, tp=3, reward=-8.0, queue=6.0, delay=0.2)
+    a = means(rec(att=5.0, tp=7, reward=-2.0, queue=1.0, delay=0.4))
+    b = means(rec(att=9.0, tp=3, reward=-8.0, queue=6.0, delay=0.2))
     ab, ba = compute_gap(a, b), compute_gap(b, a)
     assert all(ab[k] == -ba[k] for k in ab)
 
 
-def test_aggregate_uses_population_std():
-    records = [rec(att=1.0), rec(att=2.0), rec(att=3.0)]
-    mean, std = aggregate_metrics(records)
-    assert mean["ATT"] == pytest.approx(2.0)
-    assert std["ATT"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
-
-
-def test_single_episode_std_zero():
-    mean, std = aggregate_metrics([rec(att=4.0)])
-    assert std["ATT"] == 0.0
+def test_eval_mean_is_per_metric_over_episodes():
+    mean = means(rec(att=1.0, tp=2, reward=-1.0, queue=0.5, delay=0.1), rec(att=3.0, tp=5, delay=0.3))
+    assert mean == pytest.approx({"ATT": 2.0, "TP": 3.5, "Reward": -0.5, "Queue": 0.25, "Delay": 0.2})
 
 
 # --- mocked Algorithm-1 control flow ------------------------------------------
@@ -417,6 +414,15 @@ def test_run_arms_rejects_arms_with_other_demands(differs, monkeypatch):
         protocols.run_arms([("a", cfg), ("b", replace(cfg, **differs))])
 
 
+@pytest.mark.parametrize("labels", [("a", "a"), ("a", "b", "a")])
+def test_run_arms_rejects_repeated_labels_before_anything_is_written(labels, tmp_path, monkeypatch):
+    monkeypatch.setattr(protocols, "generate_demand", None)  # nothing is generated first
+    cfg = tiny_cfg(out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="distinct labels"):
+        protocols.run_arms([(label, cfg) for label in labels])
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_arms_pool_has_at_most_one_worker_per_arm_or_seed(monkeypatch):
     sizes = []
 
@@ -525,6 +531,12 @@ def experiment_with_dqn(**kw):
         (GroundingConfig, "learning_rate", -1.0),
         (GroundingConfig, "learning_rate", 0.0),
         (GroundingConfig, "learning_rate", math.nan),
+        (GroundingConfig, "forward_hidden", (64, 0)),
+        (GroundingConfig, "inverse_hidden", (0,)),
+        (DqnConfig, "hidden_sizes", (64, 0)),
+        (DqnConfig, "hidden_sizes", (-1, 64)),
+        (DqnConfig, "state_scale", (math.nan,) + (1.0,) * 19),
+        (DqnConfig, "state_scale", (1.0,) * 19 + (math.inf,)),
         (DqnConfig, "batch_size", 0),
         (DqnConfig, "target_sync_period", 0),
         (DqnConfig, "learning_rate", math.nan),
