@@ -61,7 +61,10 @@ def _parse_value(raw: str, ftype):
         (ftype,) = (t for t in typing.get_args(ftype) if t is not type(None))
     if typing.get_origin(ftype) is tuple:
         item = typing.get_args(ftype)[0]
-        return tuple(item(v) for v in raw.split(",") if v.strip())
+        items = raw.split(",")
+        if not all(map(str.strip, items)):
+            raise ValueError(f"empty item in {raw!r}")
+        return tuple(map(item, items))
     return ftype(raw)
 
 

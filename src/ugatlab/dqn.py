@@ -81,6 +81,13 @@ class ReplayBuffer:
     entry, and the arrays are float64 (actions intp), so a seeded rng.choice
     over the slots draws a batch with the same bytes as np.stack over the
     same draw from a list of the Transitions.
+
+    One more column holds each filled slot's target value, max_a
+    Q_target(s'), as next_values() last computed it. A slot's value goes
+    stale when push() writes the slot. Every value goes stale after the
+    agent's sync_target(), which gives the target network a new version:
+    next_values() is then asked for a version other than the one the
+    values were computed for.
     """
 
     def __init__(self, capacity: int, rng: np.random.Generator):
@@ -91,6 +98,9 @@ class ReplayBuffer:
         self._arrays: tuple[np.ndarray, ...] = ()
         self._size = 0
         self._write = 0
+        self._values = np.empty(capacity)
+        self._fresh = np.zeros(capacity, dtype=bool)
+        self._values_for: object = None  # the target network's version the fresh values are for
 
     def push(self, item: Transition) -> None:
         if not self._arrays:
@@ -111,28 +121,64 @@ class ReplayBuffer:
         rewards[k] = item.reward
         next_states[k] = item.next_state
         live[k] = 0.0 if item.terminal else 1.0
+        self._fresh[k] = False
         self._write = (k + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n: int) -> tuple[np.ndarray, ...]:
-        """(states, actions, rewards, next_states, live) for n distinct slots."""
-        idx = self._rng.choice(len(self), size=n, replace=False)
+    def draw(self, n: int) -> np.ndarray:
+        """n distinct filled slots, drawn with the buffer's own seeded rng."""
+        return self._rng.choice(len(self), size=n, replace=False)
+
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(states, actions, rewards, next_states, live) of slots idx."""
         return tuple(a.take(idx, axis=0) for a in self._arrays)
+
+    def sample(self, n: int) -> tuple[np.ndarray, ...]:
+        """take() of n distinct slots."""
+        return self.take(self.draw(n))
+
+    def next_values(self, idx: np.ndarray, version: object, target_max) -> np.ndarray:
+        """The target values of slots idx, for the target network `version` names.
+
+        target_max(next_states) returns max_a Q_target(s') per row. When any
+        slot of idx is stale, every stale slot is recomputed, in calls of
+        exactly len(idx) rows, the last one padded with rows of idx. OpenBLAS
+        gives each row of a product of 32 to 128 rows the same bytes wherever
+        the row sits in it (not so at 16 rows or fewer, or at 256 or more),
+        so at the sampled batch's height a value equals what a forward of
+        the sampled batch gives; the pinned bench digests check it.
+        """
+        if self._values_for is not version:
+            self._fresh[:] = False
+            self._values_for = version
+        if not self._fresh[idx].all():
+            n = len(idx)
+            next_states = self._arrays[3]
+            stale = np.flatnonzero(~self._fresh[: self._size])
+            for lo in range(0, len(stale), n):
+                slots = stale[lo : lo + n]
+                rows = np.concatenate((slots, idx[: n - len(slots)]))
+                self._values[slots] = target_max(next_states.take(rows, axis=0))[: len(slots)]
+            self._fresh[stale] = True
+        return self._values.take(idx)
 
     def __len__(self) -> int:
         return self._size
 
     def __reduce__(self):
         # pickle and deepcopy carry the filled slots only; copying the whole
-        # ring would write the pages of every slot not yet pushed
-        filled = tuple(a[: self._size] for a in self._arrays)
-        return ReplayBuffer, (self.capacity, self._rng), (filled, self._write)
+        # ring would write the pages of every slot not yet pushed. The target
+        # values travel with their version, which stays the agent's when
+        # both are copied in one call and matches no agent otherwise.
+        filled = tuple(a[: self._size] for a in (*self._arrays, self._values, self._fresh))
+        return ReplayBuffer, (self.capacity, self._rng), (filled, self._write, self._values_for)
 
     def __setstate__(self, state) -> None:
-        filled, self._write = state
-        self._size = len(filled[0]) if filled else 0
-        self._arrays = tuple(np.empty((self.capacity, *a.shape[1:]), dtype=a.dtype) for a in filled)
-        for ring, part in zip(self._arrays, filled):
+        filled, self._write, self._values_for = state
+        *transitions, values, fresh = filled
+        self._size = len(values)
+        self._arrays = tuple(np.empty((self.capacity, *a.shape[1:]), dtype=a.dtype) for a in transitions)
+        for ring, part in zip((*self._arrays, self._values, self._fresh), filled):
             ring[: self._size] = part
 
 
@@ -142,6 +188,7 @@ class DqnAgent:
         spec = MlpSpec(layer_sizes=(config.state_dim, *config.hidden_sizes, config.n_actions))
         self.q_model = init_model(spec, rng)
         self.target_model = clone_model(self.q_model)
+        self._target_version = object()  # replaced by every sync_target()
         self.adam: AdamState = init_adam(self.q_model, learning_rate=config.learning_rate)
         self.learn_steps = 0
         self.decision_steps = 0
@@ -175,14 +222,19 @@ class DqnAgent:
         Returns the TD loss, or None as the not-ready signal while the buffer
         holds fewer than batch_size transitions (sampling uses the buffer's
         own seeded rng). The target network is never touched here;
-        sync_target() controls it.
+        sync_target() controls it. max_a' Q_target(s') is read from the
+        buffer's target-value column, which recomputes a slot only after the
+        slot was written or sync_target() ran, so the target network must
+        change through sync_target() alone: a direct write to its parameters
+        after the first learn() would leave the old values in use. (The
+        tests that pin the target's outputs write them before learning.)
         """
         c = self.config
         if len(buffer) < c.batch_size:
             return None
-        states, actions, rewards, next_states, live = buffer.sample(c.batch_size)
-        next_q, _ = forward(self.target_model, self._featurize(next_states))
-        targets = rewards + c.gamma * live * next_q.max(axis=1)
+        idx = buffer.draw(c.batch_size)
+        states, actions, rewards, _, live = buffer.take(idx)
+        targets = rewards + c.gamma * live * buffer.next_values(idx, self._target_version, self._target_max)
 
         q_all, cache = forward(self.q_model, self._featurize(states))
         rows = np.arange(c.batch_size)
@@ -194,11 +246,20 @@ class DqnAgent:
         self.learn_steps += 1
         return loss
 
+    def _target_max(self, next_states: np.ndarray) -> np.ndarray:
+        next_q, _ = forward(self.target_model, self._featurize(next_states))
+        return next_q.max(axis=1)
+
     def sync_target(self) -> None:
-        """Copy online parameters into the target network bit-exactly."""
+        """Copy online parameters into the target network bit-exactly.
+
+        This is the one way the target network changes: it gives the network
+        a new version, so every buffer's cached target values go stale.
+        """
         if self.target_model.spec != self.q_model.spec:
             raise ShapeError("target/online spec mismatch")
         self.target_model.params[:] = self.q_model.params
+        self._target_version = object()
 
 
 @dataclass

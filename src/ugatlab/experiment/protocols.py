@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -374,7 +373,15 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
     tasks = [(cfg, seed) for cfg in configs for seed in base.seeds]
     parallel = jobs > 1 and len(tasks) > 1
     rows = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) if parallel else nullcontext() as pool:
+    if parallel:
+        # concurrent.futures.process loads multiprocessing, subprocess and
+        # socket; only a battery that starts a pool should pay for them
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
+    else:
+        pool = nullcontext()
+    with pool:
         mapper = pool.map if parallel else map
         starts = dict(zip(seeds, mapper(_start, repeat(base), seeds, repeat(schedules[0]), repeat(grounds))))
         task_starts = [None if _trains_alone(cfg) else starts[seed] for cfg, seed in tasks]

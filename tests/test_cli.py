@@ -130,6 +130,15 @@ def test_config_values_parse_as_their_field_types(tmp_path):
             assert typed(parsed[section][key]) == typed(value), (section, key)
 
 
+@pytest.mark.parametrize("value", ["", "64,,64"])
+def test_an_empty_list_item_fails_as_a_bad_value(tmp_path, capsys, value):
+    cfg = tiny_with(tmp_path / "bad.cfg", {("dqn", "hidden_sizes"): value})
+    code = main(["train-direct", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ugatlab: error: config: bad value for dqn.hidden_sizes:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_fails_validation(tmp_path, capsys):
     code = main(["train-direct", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
@@ -181,25 +190,31 @@ def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(tolerance
 
 
 # a fresh interpreter, so modules that other tests imported do not count
-SCIPY_PROBE = """
+IMPORT_PROBE = """
 import sys
 from ugatlab.cli import main
 assert main(sys.argv[1:]) == 0
-print("scipy.special" in sys.modules)
+print("scipy.special" in sys.modules, "multiprocessing" in sys.modules)
 """
 
 
 @pytest.mark.parametrize(
-    "command, loaded", [(["train-direct"], False), (["train-ugat", "--head", "edl"], True)]
+    "command, loaded",
+    [
+        (["train-direct"], [False, False]),
+        (["train-ugat", "--head", "edl"], [True, False]),
+        (["ablate", "--jobs", "1"], [True, False]),
+        (["ablate", "--jobs", "2"], [False, True]),  # the workers compute, the parent only writes
+    ],
 )
 def test_scipy_special_loads_only_when_the_evidential_loss_runs(command, loaded, tiny_config, tmp_path):
     src = str(Path(ugatlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [*command, "--config", tiny_config, "--out", str(tmp_path / "out"), "--quiet"]
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split() == [str(loaded)]
+    assert proc.stdout.split() == [str(x) for x in loaded]
 
 
 def test_train_ugat_produces_run_layout(tiny_config, tmp_path):

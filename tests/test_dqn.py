@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from ugatlab import dqn
 from ugatlab.dqn import (
     DqnAgent,
     DqnConfig,
@@ -13,7 +14,7 @@ from ugatlab.dqn import (
     play_episode,
     train_policy,
 )
-from ugatlab.numnet import ShapeError
+from ugatlab.numnet import ShapeError, adam_step, backward, forward, mse_loss
 
 
 def make_agent(state_dim=4, n_actions=8, seed=0, **kw):
@@ -290,6 +291,74 @@ def test_two_state_chain_matches_value_iteration_table():
         got = agent.q_values(onehot[s])
         for a in (0, 1):
             assert got[a] == pytest.approx(table[s][a], abs=0.05)
+
+
+def reference_learn(agent, buffer):
+    """learn() with the target network forwarded on every sampled batch."""
+    c = agent.config
+    if len(buffer) < c.batch_size:
+        return None
+    states, actions, rewards, next_states, live = buffer.sample(c.batch_size)
+    next_q, _ = forward(agent.target_model, agent._featurize(next_states))
+    targets = rewards + c.gamma * live * next_q.max(axis=1)
+    q_all, cache = forward(agent.q_model, agent._featurize(states))
+    rows = np.arange(c.batch_size)
+    loss, dpred = mse_loss(q_all[rows, actions], targets)
+    grad_out = np.zeros_like(q_all)
+    grad_out[rows, actions] = dpred
+    adam_step(agent.q_model, backward(agent.q_model, cache, grad_out), agent.adam)
+    agent.learn_steps += 1
+    return loss
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [
+        copy.deepcopy,
+        lambda pair: pickle.loads(pickle.dumps(pair)),
+        lambda pair: tuple(map(copy.deepcopy, pair)),  # the buffer's values match no agent's version
+    ],
+    ids=["deepcopy", "pickle", "apart"],
+)
+def test_cached_target_values_learn_like_the_per_sample_reference(copier, monkeypatch):
+    # the ring wraps (capacity 256) and the target syncs seven times; learn()
+    # continues from a copy of (agent, buffer) midway, as run_arms continues a start
+    config = DqnConfig(
+        batch_size=64, replay_capacity=256, target_sync_period=200, state_scale=tuple(np.linspace(0.5, 2.0, 20))
+    )
+
+    def start():
+        return DqnAgent(config, np.random.default_rng(31)), ReplayBuffer(256, np.random.default_rng(32))
+
+    (agent, buf), (ref_agent, ref_buf) = start(), start()
+    heights = []  # rows of each target-network forward learn() makes
+
+    def counting_forward(model, x, rng=None):
+        if model is agent.target_model:
+            heights.append(len(x))
+        return forward(model, x, rng)
+
+    monkeypatch.setattr(dqn, "forward", counting_forward)
+    data = np.random.default_rng(33)
+    losses, ref_losses = [], []
+    for step in range(1600):
+        if step == 800:
+            agent, buf = copier((agent, buf))
+        t = tr(data.normal(size=20), int(data.integers(8)), data.normal(), data.normal(size=20), data.random() < 0.1)
+        for a, b, out, learn in ((agent, buf, losses, DqnAgent.learn), (ref_agent, ref_buf, ref_losses, reference_learn)):
+            b.push(t)
+            loss = learn(a, b)
+            if loss is not None:
+                out.append(loss)
+                if a.learn_steps % config.target_sync_period == 0:
+                    a.sync_target()
+        assert np.array_equal(agent.q_model.params, ref_agent.q_model.params)
+        assert np.array_equal(agent.target_model.params, ref_agent.target_model.params)
+        assert np.array_equal(agent.adam.m, ref_agent.adam.m) and np.array_equal(agent.adam.v, ref_agent.adam.v)
+    assert len(losses) == 1600 - 63 >= 1500
+    assert np.array_equal(losses, ref_losses)
+    assert set(heights) == {config.batch_size}
+    assert len(heights) < len(losses) / 2
 
 
 # --- target sync ---------------------------------------------------------------

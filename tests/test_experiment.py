@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import astuple, replace
 from unittest import mock
@@ -441,7 +442,7 @@ def test_run_arms_pool_has_at_most_one_worker_per_arm_or_seed(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(protocols, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # run_arms imports it per pool
     cfg = tiny_cfg(algorithm="direct")
     two_arms = [("a", cfg), ("b", replace(cfg, direct_episodes=1))]
     protocols.run_arms(two_arms, jobs=64)
