@@ -96,23 +96,24 @@ def load_config_file(path: str) -> dict[str, dict]:
 
 
 def resolve_out_dir(args) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.environ.get("UGATLAB_OUT", "runs")
+    out = getattr(args, "out", None)
+    if out == "":
+        raise ValidationFailure("--out must not be empty")
+    return out if out is not None else os.environ.get("UGATLAB_OUT", "runs")
 
 
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
-    overrides = load_config_file(args.config) if args.config else {}
+    overrides = load_config_file(args.config) if args.config is not None else {}
     grounding = GroundingConfig(**overrides.get("grounding", {}))
     dqn = DqnConfig(**overrides.get("dqn", {}))
     sim = SimConfig(**overrides.get("sim", {}))
     exp = dict(overrides.get("experiment", {}))
     exp["algorithm"] = algorithm
-    if args.scenario:
+    if args.scenario is not None:
         exp["scenario"] = args.scenario
-    if args.seeds:
+    if args.seeds is not None:
         exp["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "head", None):
+    if getattr(args, "head", None) is not None:
         exp["head"] = args.head
     if exp.get("static_alpha") is not None and algorithm == "ugat":
         exp["algorithm"] = "ugat_static"
@@ -137,7 +138,7 @@ def cmd_train_direct(args) -> int:
 
 def cmd_train_ugat(args) -> int:
     cfg = build_experiment_config(args, "ugat")
-    if args.alpha:
+    if args.alpha is not None:
         if "," in args.alpha:
             raise ValidationFailure(f"train-ugat --alpha takes one rate, got {args.alpha!r}")
         cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=float(args.alpha))
@@ -153,7 +154,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     cfg = build_experiment_config(args, "ugat")
-    alphas = tuple(float(v) for v in args.alpha.split(",")) if args.alpha else DEFAULT_ALPHAS
+    alphas = tuple(float(v) for v in args.alpha.split(",")) if args.alpha is not None else DEFAULT_ALPHAS
     _emit(sweep_static_alpha(cfg, alphas, args.jobs), cfg.out_dir, args.quiet)
     return 0
 

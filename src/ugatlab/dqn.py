@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -237,14 +238,21 @@ class DqnAgent:
         targets = rewards + c.gamma * live * buffer.next_values(idx, self._target_version, self._target_max)
 
         q_all, cache = forward(self.q_model, self._featurize(states))
-        rows = np.arange(c.batch_size)
+        rows, grad_out = self._td_work
         loss, dpred = mse_loss(q_all[rows, actions], targets)
-        grad_out = np.zeros_like(q_all)
+        # grad_out is all zeros between learns: scatter, backprop, zero again
         grad_out[rows, actions] = dpred
         grads = backward(self.q_model, cache, grad_out)
+        grad_out[rows, actions] = 0.0
         adam_step(self.q_model, grads, self.adam)
         self.learn_steps += 1
         return loss
+
+    @cached_property
+    def _td_work(self) -> tuple[np.ndarray, np.ndarray]:
+        """learn()'s row index and its (batch_size, n_actions) output gradient, zeroed."""
+        c = self.config
+        return np.arange(c.batch_size), np.zeros((c.batch_size, c.n_actions))
 
     def _target_max(self, next_states: np.ndarray) -> np.ndarray:
         next_q, _ = forward(self.target_model, self._featurize(next_states))

@@ -3,7 +3,11 @@
 Matrices are 2-D float64 numpy arrays in C (row-major) order, vectors are
 1-D float64 arrays; batched calls stack samples along the first axis. An
 MlpModel copies the arrays it is given into one flat float64 vector,
-``params``, and keeps per-layer weight and bias views into it.
+``params``, and keeps per-layer weight and bias views into it. Gradients
+have the same layout: backward() writes each layer's gradient into its view
+of one new ``Gradients.flat``, and adam_step() reads that vector as it is.
+forward() and backward() work in place in the arrays they allocate, with
+the bytes of the allocating form.
 """
 
 from ugatlab.numnet.mlp import (

@@ -9,7 +9,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ugatlab.numnet.losses import cce_loss, edl_loss, mse_loss
-from ugatlab.numnet.mlp import MlpModel, MlpSpec, backward, flatten, forward, init_model
+from ugatlab.numnet.mlp import MlpModel, MlpSpec, backward, forward, init_model
 
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -41,14 +41,14 @@ def gradcheck(
     """
     out, cache = forward(model, x)
     _, dloss = loss_fn(out)
-    grads = backward(model, cache, dloss)
-    analytic = flatten(grads.weights, grads.biases)
+    analytic = backward(model, cache, dloss).flat
     params = model.params
     relu_layers = model.spec.n_layers - (model.spec.output_activation != "relu")
 
     def probe() -> tuple[float, list[np.ndarray]]:
         out, cache = forward(model, x)
-        return loss_fn(out)[0], [z > 0.0 for z in cache.preacts[:relu_layers]]
+        relus = (*cache.inputs[1:], cache.preact)[:relu_layers]
+        return loss_fn(out)[0], [a > 0.0 for a in relus]
 
     worst, max_rel, skipped = 0, 0.0, 0
     for i in range(params.size):

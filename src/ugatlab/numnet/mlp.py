@@ -46,6 +46,17 @@ def flatten(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in (*weights, *biases)], dtype=np.float64)
 
 
+def split(
+    flat: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views into flat shaped like weights and biases, in flatten()'s layout."""
+    views, start = [], 0
+    for a in (*weights, *biases):
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views[: len(weights)], views[len(weights) :]
+
+
 @dataclass
 class MlpModel:
     """Weights W[l] of shape (fan_out, fan_in) and biases b[l] of shape (fan_out,).
@@ -65,11 +76,7 @@ class MlpModel:
             if w.shape != shape or b.shape != (shape[0],):
                 raise ShapeError(f"layer {l}: weight {w.shape} / bias {b.shape} vs spec {shape}")
         self.params = flatten(self.weights, self.biases)
-        views, start = [], 0
-        for a in (*self.weights, *self.biases):
-            views.append(self.params[start : start + a.size].reshape(a.shape))
-            start += a.size
-        self.weights, self.biases = views[: len(expect)], views[len(expect) :]
+        self.weights, self.biases = split(self.params, self.weights, self.biases)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild the views instead of copying them apart
@@ -78,19 +85,39 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    """Per-layer activation record tied to the model that produced it."""
+    """What backward() reads of a forward pass, tied to the model that ran it.
+
+    inputs[l] is layer l's input activation (inputs[0] the caller's x, later
+    ones the hidden activations after relu and any dropout); preact is the
+    output layer's pre-activation. dropout says whether the pass scaled its
+    hidden units; their masks need not be kept, since a dropped unit's
+    activation is 0 like a dead relu's.
+    """
 
     model: MlpModel
     inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
-    masks: list[np.ndarray | None]
+    preact: np.ndarray
+    dropout: bool
     single: bool
 
 
 @dataclass
 class Gradients:
+    """d(loss)/d(parameters) in one flat vector laid out like ``MlpModel.params``.
+
+    ``weights`` and ``biases`` are views into ``flat``. Built from separate
+    arrays, a Gradients copies them into a new ``flat`` once, as MlpModel
+    does; backward() passes the vector its views already cover.
+    """
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            self.flat = flatten(self.weights, self.biases)
+            self.weights, self.biases = split(self.flat, self.weights, self.biases)
 
 
 def init_model(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
@@ -124,6 +151,11 @@ def forward(
     (training, and MC-dropout style heads at inference); without one, or at
     dropout_rate 0, the pass is deterministic. Surviving units are scaled by
     1/(1-p) so the deterministic pass needs no rescaling.
+
+    Each layer allocates its product ``a @ W.T`` and adds the bias, takes the
+    hidden relu and applies dropout in place in that array. Elementwise
+    operations round once whatever array they write to, so the bytes are
+    those of ``relu(a @ W.T + b)``; x itself is never written.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -137,57 +169,61 @@ def forward(
     use_dropout = p > 0.0 and rng is not None
 
     inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
     last = model.spec.n_layers - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         inputs.append(a)
-        z = a @ w.T + b
-        preacts.append(z)
+        z = a @ w.T
+        z += b
         if l == last:
-            a = np.maximum(z, 0.0) if model.spec.output_activation == "relu" else z
-            masks.append(None)
-        else:
-            a = np.maximum(z, 0.0)
-            if use_dropout:
-                keep = rng.random(a.shape) >= p
-                a = a * keep / (1.0 - p)
-                masks.append(keep)
-            else:
-                masks.append(None)
-    out = a[0] if single else a
-    cache = ForwardCache(model=model, inputs=inputs, preacts=preacts, masks=masks, single=single)
-    return out, cache
+            break
+        a = np.maximum(z, 0.0, out=z)
+        if use_dropout:
+            a *= rng.random(a.shape) >= p
+            a /= 1.0 - p
+    out = np.maximum(z, 0.0) if model.spec.output_activation == "relu" else z
+    cache = ForwardCache(model=model, inputs=inputs, preact=z, dropout=use_dropout, single=single)
+    return (out[0] if single else out), cache
 
 
 def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
     """Exact gradients of a scalar loss given d(loss)/d(output).
 
     For a batch, loss_grad must already carry any 1/n averaging; gradients
-    are summed over the batch axis.
+    are summed over the batch axis. loss_grad is only read. Each weight and
+    bias gradient is written into its view of one new flat vector, the
+    returned ``Gradients.flat``. A hidden unit's relu mask is ``a > 0`` on
+    its activation (the next layer's input), which equals ``z > 0``; a unit
+    that dropout dropped has a = 0, so the same mask drops its gradient. The
+    bytes are those of multiplying by the dropout mask and then by ``z > 0``.
     """
     if cache.model is not model:
         raise CacheError("cache was produced by a different model")
     g = np.asarray(loss_grad, dtype=np.float64)
     if cache.single:
         g = g[None, :]
-    if g.shape != cache.preacts[-1].shape:
-        raise CacheError(f"loss_grad shape {g.shape} != output shape {cache.preacts[-1].shape}")
+    if g.shape != cache.preact.shape:
+        raise CacheError(f"loss_grad shape {g.shape} != output shape {cache.preact.shape}")
 
-    delta = g * (cache.preacts[-1] > 0.0) if model.spec.output_activation == "relu" else g
+    delta = g * (cache.preact > 0.0) if model.spec.output_activation == "relu" else g
 
     n = model.spec.n_layers
-    grads_w: list[np.ndarray] = [np.empty(0)] * n
-    grads_b: list[np.ndarray] = [np.empty(0)] * n
-    p = model.spec.dropout_rate
+    flat = np.empty_like(model.params)
+    grads_w: list = [None] * n
+    grads_b: list = [None] * n
+    # make each view just before writing it, which costs less than making all
+    # six first; walk flatten()'s layout from its end: the biases end the
+    # vector, and the weights end where the biases start
+    b_stop = flat.size
+    w_stop = b_stop - sum(model.spec.layer_sizes[1:])
     for l in range(n - 1, -1, -1):
-        grads_w[l] = delta.T @ cache.inputs[l]
-        grads_b[l] = delta.sum(axis=0)
+        w, a = model.weights[l], cache.inputs[l]
+        w_start, b_start = w_stop - w.size, b_stop - len(w)
+        grads_w[l] = np.matmul(delta.T, a, out=flat[w_start:w_stop].reshape(w.shape))
+        grads_b[l] = np.add.reduce(delta, axis=0, out=flat[b_start:b_stop])
+        w_stop, b_stop = w_start, b_start
         if l > 0:
-            da = delta @ model.weights[l]
-            mask = cache.masks[l - 1]
-            if mask is not None:
-                da = da * mask / (1.0 - p)
-            delta = da * (cache.preacts[l - 1] > 0.0)
-    return Gradients(weights=grads_w, biases=grads_b)
-
+            delta = delta @ w
+            if cache.dropout:
+                delta /= 1.0 - model.spec.dropout_rate
+            delta *= a > 0.0
+    return Gradients(weights=grads_w, biases=grads_b, flat=flat)

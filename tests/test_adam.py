@@ -8,6 +8,9 @@ from ugatlab.numnet import (
     MlpSpec,
     ShapeError,
     adam_step,
+    backward,
+    clone_model,
+    forward,
     init_adam,
     init_model,
 )
@@ -41,7 +44,7 @@ def test_single_step_matches_bias_corrected_hand_formula():
     state = init_adam(model, learning_rate=lr, eps=eps)
     grads = zero_grads(model)
     g = np.array([[0.3, -0.7], [1.5, 0.0], [-2.0, 0.25]])
-    grads.weights[0] = g.copy()
+    grads.weights[0][:] = g  # a view into grads.flat, which adam_step reads
     before = model.weights[0].copy()
     adam_step(model, grads, state)
     expected = before - lr * g / (np.abs(g) + eps)
@@ -140,3 +143,50 @@ def test_params_after_adam_steps_are_pinned():
         adam_step(model, random_grads(model, rng), state)
     digest = hashlib.sha256(model.params.tobytes()).hexdigest()
     assert digest == "dc1e0a0092a93e132c0bd19c9ba99ad73650961fb2dbd4ad6d0d6a6a5451f555"
+
+
+def reference_adam(params, m, v, step, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    # the allocating form: concatenate the gradients, then a new array per operation
+    g = np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)])
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + ((1.0 - b2) * g) * g
+    m_hat = m / (1.0 - b1**step)
+    v_hat = v / (1.0 - b2**step)
+    return params - (lr * m_hat) / (np.sqrt(v_hat) + eps), m, v
+
+
+def backward_grads(model, rng, rows):
+    x = rng.normal(size=(rows, model.spec.layer_sizes[0]))
+    out, cache = forward(model, x)
+    return backward(model, cache, rng.normal(size=out.shape) / out.size)
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_adam_step_gives_the_bytes_of_the_allocating_reference(rows):
+    model = init_model(MlpSpec(layer_sizes=(20, 64, 64, 8)), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    state = init_adam(model)
+    params, m, v = model.params.copy(), state.m.copy(), state.v.copy()
+    for step in range(1, 31):
+        grads = backward_grads(model, rng, rows)
+        flat = grads.flat.tobytes()
+        params, m, v = reference_adam(params, m, v, step, grads)
+        adam_step(model, grads, state)
+        assert grads.flat.tobytes() == flat
+        assert model.params.tobytes() == params.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+def test_gradients_from_separate_arrays_step_like_those_from_backward():
+    model = init_model(MlpSpec(layer_sizes=(20, 64, 64, 8)), np.random.default_rng(3))
+    twin = clone_model(model)
+    state, twin_state = init_adam(model), init_adam(twin)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        grads = backward_grads(model, rng, 64)
+        separate = Gradients(
+            weights=[w.copy() for w in grads.weights], biases=[b.copy() for b in grads.biases]
+        )
+        adam_step(model, grads, state)
+        adam_step(twin, separate, twin_state)
+    assert model.params.tobytes() == twin.params.tobytes()

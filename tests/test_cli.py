@@ -139,6 +139,31 @@ def test_an_empty_list_item_fails_as_a_bad_value(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-direct", "--seeds", ""],
+        ["train-direct", "--scenario", ""],
+        ["train-direct", "--config", ""],
+        ["train-direct", "--out", ""],
+        ["train-ugat", "--alpha", ""],
+        ["train-ugat", "--head", ""],
+        ["sweep-alpha", "--alpha", ""],
+        ["gap-report", "missing", "--out", ""],
+    ],
+)
+def test_an_empty_flag_value_fails_as_a_config_error(argv, tiny_config, tmp_path, monkeypatch, capsys):
+    # an empty value is a value, not an absent flag: no default stands in for it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("UGATLAB_OUT", str(tmp_path / "env_out"))
+    before = sorted(tmp_path.iterdir())
+    config = [] if "--config" in argv or argv[0] == "gap-report" else ["--config", tiny_config]
+    out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *config, *out, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("ugatlab: error: config:")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_missing_config_file_fails_validation(tmp_path, capsys):
     code = main(["train-direct", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1

@@ -5,6 +5,7 @@ import pytest
 
 from ugatlab.numnet import (
     CacheError,
+    Gradients,
     MlpModel,
     MlpSpec,
     ShapeError,
@@ -15,6 +16,7 @@ from ugatlab.numnet import (
     mse_loss,
     softmax,
 )
+from ugatlab.numnet.mlp import flatten
 
 
 def make_model(sizes, seed=0, **spec_kw):
@@ -182,3 +184,72 @@ def test_unpickled_model_keeps_its_views():
     model = pickle.loads(pickle.dumps(make_model([3, 4, 2], seed=3)))
     model.params[:] = 1.0
     assert all(np.all(a == 1.0) for a in (*model.weights, *model.biases))
+
+
+def reference_pass(model, x, loss_grad, rng=None):
+    """Forward and backward in the allocating form: a new array for every bias
+    add, relu, dropout and mask, each layer's pre-activation kept, and the
+    gradients concatenated at the end. Returns (output, flat gradients)."""
+    single = x.ndim == 1
+    a = x[None, :] if single else x
+    p = model.spec.dropout_rate
+    relu_out = model.spec.output_activation == "relu"
+    inputs, preacts, masks = [], [], []
+    last = model.spec.n_layers - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(a)
+        z = a @ w.T + b
+        preacts.append(z)
+        if l == last:
+            a = np.maximum(z, 0.0) if relu_out else z
+        else:
+            a = np.maximum(z, 0.0)
+            keep = rng.random(a.shape) >= p if rng is not None and p > 0.0 else None
+            if keep is not None:
+                a = a * keep / (1.0 - p)
+            masks.append(keep)
+    g = loss_grad[None, :] if single else loss_grad
+    delta = g * (preacts[-1] > 0.0) if relu_out else g
+    grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
+    for l in range(last, -1, -1):
+        grads_w[l] = delta.T @ inputs[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            da = delta @ model.weights[l]
+            if masks[l - 1] is not None:
+                da = da * masks[l - 1] / (1.0 - p)
+            delta = da * (preacts[l - 1] > 0.0)
+    flat = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
+    return (a[0] if single else a), flat
+
+
+@pytest.mark.parametrize("rows", [None, 1, 64])  # None: a single vector
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_in_place_kernels_give_the_bytes_of_the_allocating_reference(rows, activation, dropout):
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        model = make_model([20, 64, 64, 8], seed=trial, output_activation=activation, dropout_rate=dropout)
+        x = rng.normal(size=20 if rows is None else (rows, 20))
+        g = rng.normal(size=8 if rows is None else (rows, 8))
+        g[rng.random(g.shape) < 0.5] = 0.0  # sparse, like the TD step's scattered gradient
+        x_bytes, g_bytes = x.tobytes(), g.tobytes()
+        seed = int(rng.integers(2**32))
+        want_out, want_flat = reference_pass(model, x, g, np.random.default_rng(seed))
+        out, cache = forward(model, x, np.random.default_rng(seed))
+        grads = backward(model, cache, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert grads.flat.tobytes() == want_flat.tobytes()
+        assert x.tobytes() == x_bytes and g.tobytes() == g_bytes  # inputs are only read
+        assert grads.flat.tobytes() == flatten(grads.weights, grads.biases).tobytes()
+        assert all(np.shares_memory(a, grads.flat) for a in (*grads.weights, *grads.biases))
+
+
+def test_gradients_from_separate_arrays_copy_them_into_flat():
+    weights, biases = [np.ones((3, 2)), np.full((1, 3), 2.0)], [np.zeros(3), np.full(1, 3.0)]
+    grads = Gradients(weights=weights, biases=biases)
+    assert grads.flat.tolist() == [1.0] * 6 + [2.0] * 3 + [0.0] * 3 + [3.0]
+    weights[0][0, 0] = 9.0
+    assert grads.flat[0] == 1.0
+    grads.weights[1][0, 2] = -1.0
+    assert grads.flat[8] == -1.0
