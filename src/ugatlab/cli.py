@@ -99,7 +99,11 @@ def resolve_out_dir(args) -> str:
     out = getattr(args, "out", None)
     if out == "":
         raise ValidationFailure("--out must not be empty")
-    return out if out is not None else os.environ.get("UGATLAB_OUT", "runs")
+    if out is None:
+        out = os.environ.get("UGATLAB_OUT", "runs")
+        if out == "":
+            raise ValidationFailure("$UGATLAB_OUT must not be empty")
+    return out
 
 
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:

@@ -1,18 +1,22 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The heavy end-to-end protocols (criteria 6-8) share module-scoped fixtures;
-run with -s to watch the per-criterion lines appear.
+The heavy end-to-end protocols (criteria 6-9) share module-scoped fixtures:
+each seed's pretraining, the direct-transfer policies that continue it, and
+one run_arms battery of the V1 grounded arms plus a budget-matched control,
+run on one worker process per CPU. Run with -s to watch the per-criterion
+lines appear.
 """
 
 import copy
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from ugatlab.dqn import DqnConfig, FixedCycleController
-from ugatlab.experiment import ExperimentConfig, io, protocols, run_arms, run_ugat
+from ugatlab.experiment import ExperimentConfig, io, protocols, run_arms
 from ugatlab.experiment.protocols import (
     _demands,
     _seed_result,
@@ -169,10 +173,9 @@ def test_criterion_4_metrics_log_replay_oracle(tmp_path):
         out_dir=str(tmp_path),
         dqn=DqnConfig(batch_size=16, state_scale=tuple([1 / 50] * 12 + [1] * 8)),
     )
-    train_demand, eval_demands = _demands(cfg)
-    agent, curve = train_direct_policy(cfg, 1, train_demand)
-    result = _seed_result(cfg, 1, agent, eval_demands, curve)
-    run_dir = io.write_seed_run(cfg, "direct", result)
+    ((_, report),) = run_arms([("direct", cfg)])
+    (result,) = report.per_seed
+    run_dir = io.seed_dir(tmp_path, "direct", "V1", 1)
 
     free_flow = cfg.layout.lane_length / SCENARIOS["Default"].max_speed
     worst = 0.0
@@ -368,15 +371,15 @@ def direct_policies(pretrained):
 
 
 @pytest.fixture(scope="module")
-def grounded_reports(pretrained):
-    """V1 reports for every uncertainty head, vanilla grounding, and fixed alpha.
+def v1_battery():
+    """V1 reports of one run_arms battery, one worker process per CPU.
 
-    Every (arm, seed) run continues its own copy of one start per seed, and
-    each arm's report is built from its seeds in order, as in run_arms: the
-    arms agree with the fixture's config on every field a start reads, so
-    each start is the fixture's pretraining with iteration 1's rollouts
-    collected into a copy of it.
+    The arms are every uncertainty head, vanilla grounding, fixed alpha and a
+    control: sim-only training for the grounded arms' budget, the pretraining
+    plus every grounded epoch.
     """
+    cfg = desk_cfg()
+    budget = cfg.pretrain_episodes + cfg.iterations * cfg.epochs_per_iteration
     arms = [
         (label, desk_cfg(algorithm=algorithm, head=head, static_alpha=alpha))
         for label, algorithm, head, alpha in (
@@ -387,22 +390,14 @@ def grounded_reports(pretrained):
             ("static_0.5", "ugat_static", "edl", 0.5),
         )
     ]
-    for _, cfg in arms:
-        for name in protocols._START_FIELDS:
-            assert getattr(cfg, name) == getattr(desk_cfg(), name), name
-    demands = _demands(desk_cfg())
-    starts = {}
-    for seed in SEEDS:
-        starts[seed] = copy.deepcopy(pretrained[seed])
-        starts[seed].first_rollouts = protocols.collect_rollouts(arms[0][1], starts[seed], demands[0])
-    return {
-        label: build_gap_report(
-            cfg.protocol_label,
-            cfg.scenario,
-            [run_ugat(cfg, seed, copy.deepcopy(starts[seed]), demands) for seed in SEEDS],
-        )
-        for label, cfg in arms
-    }
+    arms.append(("control", desk_cfg(algorithm="direct", direct_episodes=budget)))
+    return dict(run_arms(arms, jobs=os.cpu_count() or 1))
+
+
+@pytest.fixture(scope="module")
+def grounded_reports(v1_battery):
+    """The battery's grounded arms: every arm but the control, which has no audit rows."""
+    return {label: report for label, report in v1_battery.items() if label != "control"}
 
 
 def test_criterion_6_gap_existence(direct_policies):
@@ -506,14 +501,38 @@ def test_paired_arm_comparisons(direct_policies, grounded_reports):
         ("direct", direct_policies["V1"]),
     ]
     for (left, a), (right, b) in zip(arms, arms[1:]):
-        assert a.seeds == b.seeds == SEEDS
-        diffs = np.array([x.delta["ATT"] - y.delta["ATT"] for x, y in zip(a.per_seed, b.per_seed)])
-        favour = int((diffs < 0).sum())
-        print(
-            f"[INFO] paired ATT_gap {left} - {right} on seeds {list(SEEDS)}: "
-            f"[{', '.join(f'{d:.3f}' for d in diffs)}], mean {diffs.mean():.3f}, "
-            f"sample std {diffs.std(ddof=1):.3f}, {left} smaller on {favour}/{len(diffs)} seeds"
-        )
+        print_paired(left, a, right, b)
+
+
+def print_paired(left, a, right, b):
+    """Per-seed ATT gap differences left - right, their mean and sample std, and left's wins."""
+    assert a.seeds == b.seeds == SEEDS
+    diffs = np.array([x.delta["ATT"] - y.delta["ATT"] for x, y in zip(a.per_seed, b.per_seed)])
+    favour = int((diffs < 0).sum())
+    print(
+        f"[INFO] paired ATT_gap {left} - {right} on seeds {list(SEEDS)}: "
+        f"[{', '.join(f'{d:.3f}' for d in diffs)}], mean {diffs.mean():.3f}, "
+        f"sample std {diffs.std(ddof=1):.3f}, {left} smaller on {favour}/{len(diffs)} seeds"
+    )
+
+
+def test_paired_against_the_budget_matched_control(v1_battery, grounded_reports):
+    """Not a criterion: each grounded arm against sim-only training for the same episodes.
+
+    The control continues its seed's pretraining in the sim twin for as many
+    episodes as a grounded arm trains, so a paired difference isolates what
+    grounding did, budget for budget. Criterion 7's direct arm trains longer.
+    """
+    control = v1_battery["control"]
+    for c, e in zip(control.per_seed, grounded_reports["edl"].per_seed):
+        assert len(c.training_curve) == len(e.training_curve)
+    gaps = np.array([sr.delta["ATT"] for sr in control.per_seed])
+    print(
+        f"[INFO] control ATT_gap ({len(control.per_seed[0].training_curve)} sim episodes) on seeds "
+        f"{list(SEEDS)}: [{', '.join(f'{g:.3f}' for g in gaps)}], mean {gaps.mean():.3f}"
+    )
+    for label, report in grounded_reports.items():
+        print_paired(label, report, "control", control)
 
 
 # --- criterion 9: DQN sanity ----------------------------------------------------------

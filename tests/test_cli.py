@@ -293,6 +293,15 @@ def test_env_var_supplies_default_out_dir(tiny_config, tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "direct" / "V1" / "seed1").is_dir()
 
 
+def test_an_empty_env_var_out_dir_fails_as_a_config_error(tmp_path, monkeypatch, capsys):
+    # like --out "": no output directory is named, so nothing lands in the current one
+    monkeypatch.setenv("UGATLAB_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["gap-report", "missing_dir", "--quiet"]) == 1
+    assert capsys.readouterr().err == "ugatlab: error: config: $UGATLAB_OUT must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def read_gap_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
