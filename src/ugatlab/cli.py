@@ -69,13 +69,23 @@ def _parse_value(raw: str, ftype):
 
 
 def load_config_file(path: str) -> dict[str, dict]:
-    """Parse the line-oriented section/key=value config; unknown keys fail."""
+    """Parse the line-oriented section/key=value config; unknown sections and keys fail.
+
+    A [DEFAULT] key fails as an unknown section, and a file configparser
+    cannot parse or interpolate fails with its error folded onto one line.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        # items() would hand a [DEFAULT] key to every section: it fails below as a section
+        sections = ([parser.default_section] if parser.defaults() else []) + parser.sections()
+        items = {section: parser.items(section) for section in sections}  # interpolates each value
+    except configparser.Error as exc:
+        raise ValidationFailure(f"cannot parse config file: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ValidationFailure(f"config file not readable: {path}")
     overrides: dict[str, dict] = {}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _SECTIONS:
             raise ValidationFailure(
                 f"unknown section [{section}] (known: {', '.join(sorted(_SECTIONS))})"
@@ -84,7 +94,7 @@ def load_config_file(path: str) -> dict[str, dict]:
         if section == "experiment":
             field_types = {k: v for k, v in field_types.items() if k not in _EXPERIMENT_SKIP}
         section_values = {}
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in field_types:
                 raise ValidationFailure(f"unknown key {key!r} in section [{section}]")
             try:
@@ -220,6 +230,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_demand_gen(args) -> int:
+    if args.out_file == "":
+        raise ValidationFailure("--out-file must not be empty")
     max_vph = SimConfig().max_demand_vph
     if args.vph > max_vph:
         raise ValidationFailure(f"--vph must be <= {max_vph:g} ({N_LANES} lanes, one spawn a tick): {args.vph}")

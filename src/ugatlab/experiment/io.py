@@ -1,7 +1,10 @@
 """The gap report: its types, its writers and reader, and the run-directory layout.
 
 A SeedResult holds one seed's per-metric means in both twins and their gap,
-real - sim; build_gap_report aggregates an arm's seeds into a GapReport.
+real - sim; build_gap_report aggregates an arm's seeds into a GapReport. A
+protocol's SeedResult also keeps the DqnAgent it evaluated (agent), so a
+caller can evaluate that policy elsewhere without training it again; no
+writer reads it, and a SeedResult read back from metrics.csv has none.
 
 Layout under the output root:
 
@@ -46,7 +49,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from ugatlab.dqn import EpisodeRecord
+from ugatlab.dqn import DqnAgent, EpisodeRecord
 from ugatlab.experiment.config import (
     FORMAT_VERSION,
     NESTED_SECTIONS,
@@ -93,6 +96,7 @@ class SeedResult:
     training_curve: list[EpisodeRecord] = field(default_factory=list)
     audit_rows: list[tuple] = field(default_factory=list)
     alpha_trace: list[tuple[int, float]] = field(default_factory=list)
+    agent: DqnAgent | None = field(default=None, compare=False, repr=False)
     sim: dict[str, float] = field(init=False)
     real: dict[str, float] = field(init=False)
     delta: dict[str, float] = field(init=False)

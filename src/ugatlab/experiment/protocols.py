@@ -117,7 +117,7 @@ def rollout(
 def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_trace=None) -> SeedResult:
     sim_eval = evaluate(agent, "Default", eval_demands, cfg.layout, cfg.sim, env_tag="sim")
     real_eval = evaluate(agent, cfg.scenario, eval_demands, cfg.layout, cfg.sim, env_tag="real")
-    return SeedResult(seed, sim_eval, real_eval, curve, audit_rows or [], alpha_trace or [])
+    return SeedResult(seed, sim_eval, real_eval, curve, audit_rows or [], alpha_trace or [], agent)
 
 
 # --- pretraining, shared by every arm of a seed ---------------------------------------

@@ -1,30 +1,23 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The heavy end-to-end protocols (criteria 6-9) share module-scoped fixtures:
-each seed's pretraining, the direct-transfer policies that continue it, and
-one run_arms battery of the V1 grounded arms plus a budget-matched control,
-run on one worker process per CPU. Run with -s to watch the per-criterion
-lines appear.
+The heavy end-to-end protocols (criteria 6-9) share one run_arms battery, a
+module-scoped fixture run on one worker process per CPU: the direct-transfer
+arm, the V1 grounded arms and a budget-matched control, all continuing each
+seed's one pretraining. The direct arm's policies are also evaluated in V4,
+and criterion 9 reads their pretraining curves. Run with -s to watch the
+per-criterion lines appear.
 """
 
-import copy
 import math
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from ugatlab.dqn import DqnConfig, FixedCycleController
-from ugatlab.experiment import ExperimentConfig, io, protocols, run_arms
-from ugatlab.experiment.protocols import (
-    _demands,
-    _seed_result,
-    build_gap_report,
-    pretrain,
-    train_direct_policy,
-)
-from ugatlab.grounding import GroundingConfig, UncertainAction, edl_uncertainty
+from ugatlab.experiment import ExperimentConfig, io, run_arms
+from ugatlab.experiment.protocols import _demands, build_gap_report, evaluate
+from ugatlab.grounding import GroundingConfig, edl_uncertainty
 from ugatlab.numnet import gradcheck, random_cases
 from ugatlab.sim import (
     SCENARIOS,
@@ -33,6 +26,8 @@ from ugatlab.sim import (
     TrafficSim,
     generate_demand,
 )
+
+from protocol_helpers import run_one, run_scripted, seed_trace
 
 pytestmark = pytest.mark.acceptance
 
@@ -205,40 +200,6 @@ def test_criterion_4_metrics_log_replay_oracle(tmp_path):
 # --- criterion 5: Algorithm-1 fidelity with mocked models -----------------------------
 
 
-class ScriptedGrounder:
-    def __init__(self, uncertainties, action=5):
-        self.uncertainties = list(uncertainties)
-        self.calls = 0
-        self.action = action
-
-    def fit(self, d_real, d_sim, rng):
-        pass
-
-    def ground(self, state, action):
-        u = self.uncertainties[self.calls]
-        self.calls += 1
-        return UncertainAction(action=self.action, uncertainty=u)
-
-
-class ScriptedAgent:
-    def __init__(self, config):
-        self.config = config
-        self.decision_steps = 0
-        self.learn_steps = 0
-
-    def epsilon(self):
-        return 0.0
-
-    def act(self, state, eps, rng):
-        return 0
-
-    def learn(self, buffer):
-        return None
-
-    def sync_target(self):
-        pass
-
-
 def mock_cfg(**kw):
     base = dict(
         scenario="V1",
@@ -260,23 +221,6 @@ def mock_cfg(**kw):
     return ExperimentConfig(**base)
 
 
-def run_one(cfg):
-    """cfg's report from a one-arm battery: the arm run alone."""
-    ((_, report),) = run_arms([(cfg.protocol_label, cfg)])
-    return report
-
-
-def seed_trace(report):
-    sr = report.per_seed[0]
-    return (
-        [tuple(r) for r in sr.audit_rows],
-        sr.alpha_trace,
-        sr.sim,
-        sr.real,
-        [(r.episode, r.return_, r.mean_td_loss) for r in sr.training_curve],
-    )
-
-
 def test_criterion_5_algorithm_fidelity():
     # I=2, E=2, T=3: iteration 1 at alpha=inf accepts all six; the update sets
     # alpha = mean(six u's) = 0.5 exactly; iteration 2 rejects u >= 0.5
@@ -284,12 +228,7 @@ def test_criterion_5_algorithm_fidelity():
     cfg = mock_cfg()
     us_iter1 = [0.25, 0.75, 0.5, 0.5, 0.25, 0.75]  # mean exactly 0.5
     us_iter2 = [0.5, 0.3, 0.6, 0.49, 0.51, 0.5]
-    grounder = ScriptedGrounder(us_iter1 + us_iter2)
-    with (
-        mock.patch.object(protocols, "Grounder", lambda c, a, b: grounder),
-        mock.patch.object(protocols, "DqnAgent", lambda dqn, rng: ScriptedAgent(dqn)),
-    ):
-        (result,) = run_one(cfg).per_seed
+    result, grounder = run_scripted(cfg, us_iter1 + us_iter2)
     checks = {}
     per_iter = cfg.epochs_per_iteration * cfg.steps_per_episode
     checks["log length T*E per iteration"] = grounder.calls == 2 * per_iter and all(
@@ -341,42 +280,12 @@ def desk_cfg(**kw):
 
 
 @pytest.fixture(scope="module")
-def pretrained():
-    """Each seed's policy after the desk-scale pretraining, where every arm of it starts."""
-    cfg = desk_cfg()
-    train_demand, _ = _demands(cfg)
-    return {seed: pretrain(cfg, seed, train_demand, cfg.pretrain_episodes) for seed in SEEDS}
-
-
-@pytest.fixture(scope="module")
-def direct_policies(pretrained):
-    """Three Default-trained policies plus their evaluations vs V1 and V4.
-
-    Each continues a copy of its seed's pretraining for the rest of the
-    direct-transfer budget, which is the policy the full budget alone trains.
-    """
-    cfg = desk_cfg()
-    train_demand, eval_demands = _demands(cfg)
-    agents = {}
-    by_scenario = {}
-    for seed in SEEDS:
-        agents[seed], _curve = train_direct_policy(cfg, seed, train_demand, copy.deepcopy(pretrained[seed]))
-    for scenario in ("V1", "V4"):
-        cfg_s = desk_cfg(scenario=scenario)
-        per_seed = [
-            _seed_result(cfg_s, seed, agents[seed], eval_demands, []) for seed in SEEDS
-        ]
-        by_scenario[scenario] = build_gap_report("direct", scenario, per_seed)
-    return by_scenario
-
-
-@pytest.fixture(scope="module")
 def v1_battery():
     """V1 reports of one run_arms battery, one worker process per CPU.
 
-    The arms are every uncertainty head, vanilla grounding, fixed alpha and a
-    control: sim-only training for the grounded arms' budget, the pretraining
-    plus every grounded epoch.
+    The arms are direct transfer, every uncertainty head, vanilla grounding,
+    fixed alpha and a control: sim-only training for the grounded arms'
+    budget, the pretraining plus every grounded epoch.
     """
     cfg = desk_cfg()
     budget = cfg.pretrain_episodes + cfg.iterations * cfg.epochs_per_iteration
@@ -390,14 +299,31 @@ def v1_battery():
             ("static_0.5", "ugat_static", "edl", 0.5),
         )
     ]
-    arms.append(("control", desk_cfg(algorithm="direct", direct_episodes=budget)))
+    arms += [("direct", desk_cfg()), ("control", desk_cfg(algorithm="direct", direct_episodes=budget))]
     return dict(run_arms(arms, jobs=os.cpu_count() or 1))
 
 
 @pytest.fixture(scope="module")
 def grounded_reports(v1_battery):
-    """The battery's grounded arms: every arm but the control, which has no audit rows."""
-    return {label: report for label, report in v1_battery.items() if label != "control"}
+    """The battery's grounded arms: every arm but direct and the control, which have no audit rows."""
+    return {label: report for label, report in v1_battery.items() if label not in ("direct", "control")}
+
+
+@pytest.fixture(scope="module")
+def direct_policies(v1_battery):
+    """The battery's three Default-trained direct policies, evaluated vs V1 and V4.
+
+    The V4 report pairs each seed's Default evaluation from the battery with
+    an evaluation in V4 of the policy the battery hands back, trained once.
+    """
+    cfg = desk_cfg()
+    _, eval_demands = _demands(cfg)
+    v1 = v1_battery["direct"]
+    v4 = [
+        io.SeedResult(sr.seed, sr.sim_eval, evaluate(sr.agent, "V4", eval_demands, cfg.layout, cfg.sim, "real"))
+        for sr in v1.per_seed
+    ]
+    return {"V1": v1, "V4": build_gap_report("direct", "V4", v4)}
 
 
 def test_criterion_6_gap_existence(direct_policies):
@@ -538,7 +464,7 @@ def test_paired_against_the_budget_matched_control(v1_battery, grounded_reports)
 # --- criterion 9: DQN sanity ----------------------------------------------------------
 
 
-def test_criterion_9_dqn_beats_fixed_cycle(pretrained):
+def test_criterion_9_dqn_beats_fixed_cycle(v1_battery):
     cfg = desk_cfg()
     train_demand, _ = _demands(cfg)
     env = TrafficSim(cfg.layout, SCENARIOS["Default"], train_demand, cfg.training_sim)
@@ -553,8 +479,8 @@ def test_criterion_9_dqn_beats_fixed_cycle(pretrained):
 
     # the pretraining is 100 training episodes in this environment, from each seed's streams
     wins = []
-    for seed in SEEDS:
-        result = pretrained[seed].curve
+    for sr in v1_battery["direct"].per_seed:
+        result = sr.training_curve[: cfg.pretrain_episodes]
         assert len(result) == 100
         final10 = float(np.mean([r.return_ for r in result[-10:]]))
         wins.append((final10, final10 > cycle_return))

@@ -170,6 +170,37 @@ def test_missing_config_file_fails_validation(tmp_path, capsys):
     assert "not readable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rest", ["", TINY], ids=["alone", "before the sections"])
+def test_a_default_section_key_fails_as_an_unknown_section(rest, tmp_path, capsys):
+    # configparser would hand a [DEFAULT] key to every section, or to none if there is none
+    path = tmp_path / "default.cfg"
+    path.write_text("[DEFAULT]\nepisode_length = 60\n" + rest)
+    assert main(["train-direct", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "ugatlab: error: config: unknown section [DEFAULT] (known: dqn, experiment, grounding, sim)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[sim]\ntick = 1\ntick = 2\n",
+        "episode_length = 60\n",
+        "[sim]\nepisode_length\n",
+        "[sim]\nepisode_length = 60%\n",
+    ],
+    ids=["duplicate key", "no section header", "key without value", "bare interpolation sign"],
+)
+def test_an_unparsable_config_file_fails_on_one_config_line(text, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["train-direct", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ugatlab: error: config: cannot parse config file: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_demand_gen_round_trips(tmp_path):
     out = tmp_path / "demand.csv"
     assert main(["demand-gen", "--vph", "1200", "--duration", "120", "--seed", "5",
@@ -188,6 +219,14 @@ def test_demand_gen_rejects_a_non_finite_rate_or_duration(tmp_path, capsys, flag
     assert main(["demand-gen", *argv, "--out-file", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("ugatlab: error: config:")
     assert not out.exists()
+
+
+def test_demand_gen_rejects_an_empty_out_file(tmp_path, monkeypatch, capsys):
+    # demand-gen takes no --config or --out, so the empty-flag test above cannot run it
+    monkeypatch.chdir(tmp_path)
+    assert main(["demand-gen", "--vph", "1200", "--duration", "120", "--out-file", "", "--quiet"]) == 1
+    assert capsys.readouterr().err == "ugatlab: error: config: --out-file must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gradcheck_passes(capsys):

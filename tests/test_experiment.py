@@ -1,23 +1,18 @@
 import concurrent.futures
 import math
 from dataclasses import astuple, replace
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from ugatlab.dqn import DqnConfig
-from ugatlab.experiment import (
-    EvalResult,
-    ExperimentConfig,
-    compute_gap,
-    run_ablation,
-    run_arms,
-)
+from ugatlab.experiment import EvalResult, ExperimentConfig, compute_gap, run_ablation
 from ugatlab.experiment import io, protocols
 from ugatlab.experiment.protocols import _demands
-from ugatlab.grounding import GroundingConfig, UncertainAction
+from ugatlab.grounding import GroundingConfig
 from ugatlab.sim import N_LANES, N_PHASES, MetricsRecord, SimConfig
+
+from protocol_helpers import run_one, run_scripted, seed_trace
 
 
 def tiny_cfg(**kw):
@@ -41,12 +36,6 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
-
-
-def run_one(cfg):
-    """cfg's report from a one-arm battery: the arm run alone."""
-    ((_, report),) = run_arms([(cfg.protocol_label, cfg)])
-    return report
 
 
 def test_default_state_scale_divides_lane_counts_by_the_count_scale():
@@ -104,55 +93,6 @@ def test_eval_mean_is_per_metric_over_episodes():
 # --- mocked Algorithm-1 control flow ------------------------------------------
 
 
-class ScriptedGrounder:
-    """Returns a fixed grounded action with a scripted uncertainty sequence."""
-
-    def __init__(self, uncertainties, action=5):
-        self.uncertainties = list(uncertainties)
-        self.action = action
-        self.calls = 0
-        self.fit_calls = 0
-
-    def fit(self, d_real, d_sim, rng):
-        self.fit_calls += 1
-
-    def ground(self, state, action):
-        u = self.uncertainties[self.calls]
-        self.calls += 1
-        return UncertainAction(action=self.action, uncertainty=u)
-
-
-class ScriptedAgent:
-    """Always proposes action 0 and never learns."""
-
-    def __init__(self, config):
-        self.config = config
-        self.decision_steps = 0
-        self.learn_steps = 0
-
-    def epsilon(self):
-        return 0.0
-
-    def act(self, state, eps, rng):
-        return 0
-
-    def learn(self, buffer):
-        return None
-
-    def sync_target(self):
-        pass
-
-
-def run_scripted(cfg, uncertainties):
-    grounder = ScriptedGrounder(uncertainties)
-    with (
-        mock.patch.object(protocols, "Grounder", lambda c, init_rng, head_rng: grounder),
-        mock.patch.object(protocols, "DqnAgent", lambda dqn, rng: ScriptedAgent(dqn)),
-    ):
-        (result,) = run_one(cfg).per_seed
-    return result, grounder
-
-
 def test_algorithm_one_hand_trace():
     # I=2, E=1, T=3: iteration 1 runs at alpha=inf (all accepted), the update
     # sets alpha = mean(0.25, 0.5, 0.75) = 0.5 (exact in binary), and
@@ -204,17 +144,6 @@ def test_uncertainty_log_length_is_steps_times_epochs():
 
 
 # --- protocol equivalences -------------------------------------------------------
-
-
-def seed_trace(report, i=0):
-    sr = report.per_seed[i]
-    return (
-        [tuple(r) for r in sr.audit_rows],
-        sr.alpha_trace,
-        sr.sim,
-        sr.real,
-        [(r.episode, r.return_, r.mean_td_loss) for r in sr.training_curve],
-    )
 
 
 def test_gat_equals_alpha_pinned_static_ugat():
@@ -275,17 +204,12 @@ def shared_pretraining_arms():
 def run_recorded(monkeypatch, fn):
     """fn()'s result and what it called.
 
-    calls["q"] holds each evaluated agent's Q and target bytes, "pretrain" the
-    seed of each pretrain(), "rollout" the rollout stream's state at each
-    rollout() and "demand" the arguments of each generate_demand().
+    calls["pretrain"] holds the seed of each pretrain(), "rollout" the rollout
+    stream's state at each rollout() and "demand" the arguments of each
+    generate_demand().
     """
-    calls = {"q": [], "pretrain": [], "rollout": [], "demand": []}
-    seed_result, pretrain = protocols._seed_result, protocols.pretrain
-    rollout, generate_demand = protocols.rollout, protocols.generate_demand
-
-    def recording_seed_result(cfg, seed, agent, *rest):
-        calls["q"].append(agent.q_model.params.tobytes() + agent.target_model.params.tobytes())
-        return seed_result(cfg, seed, agent, *rest)
+    calls = {"pretrain": [], "rollout": [], "demand": []}
+    pretrain, rollout, generate_demand = protocols.pretrain, protocols.rollout, protocols.generate_demand
 
     def recording_pretrain(cfg, seed, *rest):
         calls["pretrain"].append(seed)
@@ -300,7 +224,6 @@ def run_recorded(monkeypatch, fn):
         return generate_demand(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(protocols, "_seed_result", recording_seed_result)
         m.setattr(protocols, "pretrain", recording_pretrain)
         m.setattr(protocols, "rollout", recording_rollout)
         m.setattr(protocols, "generate_demand", recording_generate_demand)
@@ -318,7 +241,12 @@ def first_collections(rollout_states, seeds):
     return {s: rollout_states.count(stream_state(protocols.seed_streams(s)["rollout"])) for s in seeds}
 
 
-def arm_fingerprint(report, q_bytes):
+def q_bytes(agent):
+    """agent's Q and target network bytes."""
+    return agent.q_model.params.tobytes() + agent.target_model.params.tobytes()
+
+
+def arm_fingerprint(report):
     return [
         (
             sr.seed,
@@ -327,23 +255,21 @@ def arm_fingerprint(report, q_bytes):
             sr.sim,
             sr.real,
             [astuple(r) for r in sr.training_curve],
-            q,
+            q_bytes(sr.agent),
         )
-        for sr, q in zip(report.per_seed, q_bytes, strict=True)
+        for sr in report.per_seed
     ]
 
 
 def run_arms_fingerprints(monkeypatch, arms):
     rows, calls = run_recorded(monkeypatch, lambda: protocols.run_arms(arms))
-    n = len(arms[0][1].seeds)
-    prints = {label: arm_fingerprint(r, calls["q"][i * n : (i + 1) * n]) for i, (label, r) in enumerate(rows)}
-    return prints, calls
+    return {label: arm_fingerprint(r) for label, r in rows}, calls
 
 
 def run_alone(monkeypatch, cfg):
     """The fingerprint of cfg's arm run by itself, in a one-arm battery, and what it called."""
     report, calls = run_recorded(monkeypatch, lambda: run_one(cfg))
-    return arm_fingerprint(report, calls["q"]), calls
+    return arm_fingerprint(report), calls
 
 
 def test_shared_pretraining_gives_every_arm_the_bytes_it_gets_alone(monkeypatch):
@@ -379,10 +305,10 @@ def test_a_direct_arm_below_the_pretraining_budget_runs_no_start(monkeypatch):
     ((_, report),), calls = run_recorded(monkeypatch, lambda: protocols.run_arms([("direct", cfg)]))
     assert calls["pretrain"] == [1, 2]  # the arm's own training, and no start beside it
     train_demand, _ = _demands(cfg)
-    for sr, q in zip(report.per_seed, calls["q"], strict=True):
+    for sr in report.per_seed:
         agent, curve = protocols.train_direct_policy(cfg, sr.seed, train_demand)
         assert [astuple(r) for r in sr.training_curve] == [astuple(r) for r in curve]
-        assert q == agent.q_model.params.tobytes() + agent.target_model.params.tobytes()
+        assert q_bytes(sr.agent) == q_bytes(agent)
 
 
 def test_run_arms_rejects_jobs_below_one():
