@@ -1,5 +1,10 @@
 """Command-line front end: binds configs to protocols and writes reports.
 
+The five protocol subcommands are rows of one table, _PROTOCOLS, and share
+one handler, cmd_protocol: it builds the config, runs the row's battery and
+writes the gap report and summary. gap-report, gradcheck and demand-gen
+have handlers of their own.
+
 Exit codes: 0 success, 1 validation error (flags, config schema), 2 runtime
 failure. Diagnostics go to stderr as single machine-parsable lines of the
 form "ugatlab: error: <category>: <message>".
@@ -118,9 +123,7 @@ def resolve_out_dir(args) -> str:
 
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     overrides = load_config_file(args.config) if args.config is not None else {}
-    grounding = GroundingConfig(**overrides.get("grounding", {}))
-    dqn = DqnConfig(**overrides.get("dqn", {}))
-    sim = SimConfig(**overrides.get("sim", {}))
+    nested = {name: _SECTIONS[name](**overrides.get(name, {})) for name in ("grounding", "dqn", "sim")}
     exp = dict(overrides.get("experiment", {}))
     exp["algorithm"] = algorithm
     if args.scenario is not None:
@@ -131,51 +134,55 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
         exp["head"] = args.head
     if exp.get("static_alpha") is not None and algorithm == "ugat":
         exp["algorithm"] = "ugat_static"
-    return ExperimentConfig(dqn=dqn, grounding=grounding, sim=sim, out_dir=resolve_out_dir(args), **exp)
-
-
-def _emit(rows, out_dir: str, quiet: bool) -> None:
-    io.write_gap_reports(out_dir, rows)
-    summary = io.write_summary(out_dir, rows)
-    if not quiet:
-        sys.stdout.write(summary.read_text())
+    return ExperimentConfig(**nested, out_dir=resolve_out_dir(args), **exp)
 
 
 # --- subcommand handlers ------------------------------------------------------
 
 
-def cmd_train_direct(args) -> int:
-    cfg = build_experiment_config(args, "direct")
-    _emit(run_arms([("direct", cfg)]), cfg.out_dir, args.quiet)
-    return 0
+def _train_one(cfg: ExperimentConfig, args):
+    """One arm: train-direct, or train-ugat at the dynamic rate or at one --alpha."""
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None:
+        if "," in alpha:
+            raise ValidationFailure(f"train-ugat --alpha takes one rate, got {alpha!r}")
+        cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=float(alpha))
+    return run_arms([(cfg.protocol_label, cfg)])
 
 
-def cmd_train_ugat(args) -> int:
-    cfg = build_experiment_config(args, "ugat")
-    if args.alpha is not None:
-        if "," in args.alpha:
-            raise ValidationFailure(f"train-ugat --alpha takes one rate, got {args.alpha!r}")
-        cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=float(args.alpha))
-    _emit(run_arms([(cfg.protocol_label, cfg)]), cfg.out_dir, args.quiet)
-    return 0
+def _ablate(cfg: ExperimentConfig, args):
+    return run_ablation(cfg, args.jobs)
 
 
-def cmd_ablate(args) -> int:
-    cfg = build_experiment_config(args, "ugat")
-    _emit(run_ablation(cfg, args.jobs), cfg.out_dir, args.quiet)
-    return 0
-
-
-def cmd_sweep_alpha(args) -> int:
-    cfg = build_experiment_config(args, "ugat")
+def _sweep(cfg: ExperimentConfig, args):
     alphas = tuple(float(v) for v in args.alpha.split(",")) if args.alpha is not None else DEFAULT_ALPHAS
-    _emit(sweep_static_alpha(cfg, alphas, args.jobs), cfg.out_dir, args.quiet)
-    return 0
+    return sweep_static_alpha(cfg, alphas, args.jobs)
 
 
-def cmd_compare_uncertainty(args) -> int:
-    cfg = build_experiment_config(args, "ugat")
-    _emit(compare_uncertainty_methods(cfg, args.jobs), cfg.out_dir, args.quiet)
+def _compare(cfg: ExperimentConfig, args):
+    return compare_uncertainty_methods(cfg, args.jobs)
+
+
+# The protocol subcommands: name, help, algorithm, _add_common flags and the
+# battery(cfg, args) that returns the report rows. A battery looks its runner
+# up in this module when it runs, so a runner patched here is the one called.
+_PROTOCOLS = (
+    ("train-direct", "train in the sim twin, evaluate in both", "direct", (), _train_one),
+    ("train-ugat", "grounded training with uncertainty gating", "ugat", ("head", "alpha"), _train_one),
+    ("ablate", "ugat / fixed-alpha / vanilla / no-grounding table", "ugat", ("head", "jobs"), _ablate),
+    ("sweep-alpha", "static grounding rates vs the dynamic rule", "ugat", ("head", "alpha", "jobs"), _sweep),
+    ("compare-uncertainty", "edl vs dropout vs ensemble vs vanilla", "ugat", ("jobs",), _compare),
+)
+
+
+def cmd_protocol(args) -> int:
+    """Build the config, run the subcommand's battery and write its gap report and summary."""
+    cfg = build_experiment_config(args, args.algorithm)
+    rows = args.battery(cfg, args)
+    io.write_gap_reports(cfg.out_dir, rows)
+    summary = io.write_summary(cfg.out_dir, rows)
+    if not args.quiet:
+        sys.stdout.write(summary.read_text())
     return 0
 
 
@@ -245,14 +252,19 @@ def cmd_demand_gen(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {value}")
+        return value
+
+    return parse
 
 
 def _positive_float(raw: str) -> float:
@@ -265,17 +277,17 @@ def _positive_float(raw: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, head: bool = False, alpha: bool = False, jobs: bool = False):
+def _add_common(p: argparse.ArgumentParser, flags: tuple[str, ...]):
     p.add_argument("--config", help="structured-text config file")
     p.add_argument("--out", help="output directory (default $UGATLAB_OUT or ./runs)")
     p.add_argument("--seeds", help="comma-separated seed list, e.g. 1,2,3")
     p.add_argument("--scenario", help="environment variant playing reality (Default..V4)")
     p.add_argument("--quiet", action="store_true")
-    if jobs:
-        p.add_argument("--jobs", type=_positive_int, default=1, help="parallel protocol arms (>= 1)")
-    if head:
+    if "jobs" in flags:
+        p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel protocol arms (>= 1)")
+    if "head" in flags:
         p.add_argument("--head", help="uncertainty head: edl, dropout, ensemble, logits")
-    if alpha:
+    if "alpha" in flags:
         p.add_argument("--alpha", help="static grounding rate (comma list for sweep-alpha)")
 
 
@@ -286,25 +298,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-direct", help="train in the sim twin, evaluate in both")
-    _add_common(p)
-    p.set_defaults(handler=cmd_train_direct)
-
-    p = sub.add_parser("train-ugat", help="grounded training with uncertainty gating")
-    _add_common(p, head=True, alpha=True)
-    p.set_defaults(handler=cmd_train_ugat)
-
-    p = sub.add_parser("ablate", help="ugat / fixed-alpha / vanilla / no-grounding table")
-    _add_common(p, head=True, jobs=True)
-    p.set_defaults(handler=cmd_ablate)
-
-    p = sub.add_parser("sweep-alpha", help="static grounding rates vs the dynamic rule")
-    _add_common(p, head=True, alpha=True, jobs=True)
-    p.set_defaults(handler=cmd_sweep_alpha)
-
-    p = sub.add_parser("compare-uncertainty", help="edl vs dropout vs ensemble vs vanilla")
-    _add_common(p, jobs=True)
-    p.set_defaults(handler=cmd_compare_uncertainty)
+    for name, help_text, algorithm, flags, battery in _PROTOCOLS:
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, flags)
+        p.set_defaults(handler=cmd_protocol, algorithm=algorithm, battery=battery)
 
     p = sub.add_parser("gap-report", help="merge completed run dirs into a gap table")
     p.add_argument("run_dirs", nargs="+", help="<protocol>/<scenario> directories")
@@ -313,16 +310,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_gap_report)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the numeric kernel")
-    p.add_argument("--cases", type=_positive_int, default=25)
+    p.add_argument("--cases", type=_int_at_least(1), default=25)
     p.add_argument("--tolerance", type=_positive_float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=cmd_gradcheck)
 
     p = sub.add_parser("demand-gen", help="materialize a seeded arrival schedule")
     p.add_argument("--vph", type=float, default=2600.0)
     p.add_argument("--duration", type=float, default=3600.0)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_int_at_least(0), default=7)
     p.add_argument("--out-file", required=True)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=cmd_demand_gen)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 from ugatlab.dqn import DqnConfig
 from ugatlab.grounding import HEAD_KINDS, GroundingConfig
-from ugatlab.sim import N_LANES, N_PHASES, SCENARIOS, STATE_DIM, IntersectionLayout, SimConfig
+from ugatlab.sim import N_LANES, N_PHASES, SCENARIOS, STATE_DIM, IntersectionLayout, SimConfig, check_tick
 
 ALGORITHMS = ("direct", "gat", "ugat", "ugat_static")
 
@@ -53,6 +53,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
             raise ValueError(f"seeds must be distinct and >= 0: {self.seeds}")
+        if self.demand_seed < 0:
+            raise ValueError(f"demand_seed must be >= 0: {self.demand_seed}")
         if self.algorithm == "ugat_static" and self.static_alpha is None:
             raise ValueError("ugat_static needs static_alpha")
         if self.static_alpha is not None and not self.static_alpha >= 0.0:  # NaN and -inf fail
@@ -72,6 +74,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"demand_vph must be <= {max_vph:g} ({N_LANES} lanes, one spawn a tick): {self.demand_vph}"
             )
+        for name in ("Default", self.scenario):  # every protocol runs both twins
+            check_tick(self.layout, SCENARIOS[name], self.sim)
         if not 0.0 <= self.rollout_epsilon <= 1.0:  # NaN fails too
             raise ValueError(f"rollout_epsilon must be in [0, 1]: {self.rollout_epsilon}")
         if self.dqn.state_dim != STATE_DIM:

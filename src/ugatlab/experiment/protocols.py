@@ -97,8 +97,8 @@ def _demands(cfg: ExperimentConfig) -> Schedules:
     return train, evals
 
 
-def _env_factory(cfg: ExperimentConfig, params_name: str, demand: DemandSchedule, sim_cfg: SimConfig):
-    return partial(TrafficSim, cfg.layout, SCENARIOS[params_name], demand, sim_cfg)
+def _training_env(cfg: ExperimentConfig, params_name: str, demand: DemandSchedule):
+    return partial(TrafficSim, cfg.layout, SCENARIOS[params_name], demand, cfg.training_sim)
 
 
 def rollout(
@@ -114,10 +114,11 @@ def rollout(
     ]
 
 
-def _seed_result(cfg, seed, agent, eval_demands, curve, audit_rows=None, alpha_trace=None) -> SeedResult:
+def _seed_result(cfg, seed, state: PolicyState, eval_demands, audit_rows=None, alpha_trace=None):
+    agent = state.agent
     sim_eval = evaluate(agent, "Default", eval_demands, cfg.layout, cfg.sim, env_tag="sim")
     real_eval = evaluate(agent, cfg.scenario, eval_demands, cfg.layout, cfg.sim, env_tag="real")
-    return SeedResult(seed, sim_eval, real_eval, curve, audit_rows or [], alpha_trace or [], agent)
+    return SeedResult(seed, sim_eval, real_eval, state.curve, audit_rows or [], alpha_trace or [], agent)
 
 
 # --- pretraining, shared by every arm of a seed ---------------------------------------
@@ -149,19 +150,11 @@ class PolicyState:
             self.curve.append(replace(r, episode=len(self.curve)))
 
 
-def _sim_factory(cfg: ExperimentConfig, train_demand: DemandSchedule):
-    return _env_factory(cfg, "Default", train_demand, cfg.training_sim)
-
-
-def _real_factory(cfg: ExperimentConfig, train_demand: DemandSchedule):
-    return _env_factory(cfg, cfg.scenario, train_demand, cfg.training_sim)
-
-
 def pretrain(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, episodes: int) -> PolicyState:
     """A fresh policy for seed, trained for episodes in the sim twin.
 
-    Every arm of a seed starts here: the grounded arms with
-    cfg.pretrain_episodes, direct transfer with all of its budget.
+    Every arm of a seed starts here: the arms of a battery with
+    cfg.pretrain_episodes, a direct arm that trains alone with none.
     """
     streams = seed_streams(seed)
     state = PolicyState(
@@ -169,28 +162,13 @@ def pretrain(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, epi
         DqnAgent(cfg.dqn, streams["agent_init"]),
         ReplayBuffer(cfg.dqn.replay_capacity, streams["replay"]),
     )
-    state.train(_sim_factory(cfg, train_demand), episodes)
+    state.train(_training_env(cfg, "Default", train_demand), episodes)
     return state
 
 
-# --- direct transfer ---------------------------------------------------------------
-
-
-def train_direct_policy(
-    cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, pretrained: PolicyState | None = None
-):
-    """Train a policy in the sim twin for the direct-transfer budget.
-
-    pretrained, when given, is this seed's state after its first episodes of
-    the same training; it is continued in place for the rest of the budget.
-    """
-    if pretrained is None:
-        state = pretrain(cfg, seed, train_demand, cfg.direct_episodes)
-    elif len(pretrained.curve) > cfg.direct_episodes:
-        raise ValueError(f"pretrained state is past the direct_episodes budget of {cfg.direct_episodes}")
-    else:
-        state = pretrained
-        state.train(_sim_factory(cfg, train_demand), cfg.direct_episodes - len(state.curve))
+def train_direct_policy(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule):
+    """seed's direct-transfer (agent, curve), trained from scratch: the bytes of its arm in run_arms."""
+    state = pretrain(cfg, seed, train_demand, cfg.direct_episodes)
     return state.agent, state.curve
 
 
@@ -232,13 +210,7 @@ def collect_rollouts(
     Both draw from the rollout stream, sim first; the agent is only read.
     """
     args = (cfg.rollout_episodes, state.agent, cfg.rollout_epsilon, state.streams["rollout"])
-    return rollout(_sim_factory(cfg, train_demand), *args), rollout(_real_factory(cfg, train_demand), *args)
-
-
-def _initial_rate(cfg: ExperimentConfig) -> GroundingRate:
-    if cfg.algorithm == "ugat_static":
-        return GroundingRate(alpha=float(cfg.static_alpha))
-    return GroundingRate()  # +inf until the first dynamic update
+    return tuple(rollout(_training_env(cfg, name, train_demand), *args) for name in ("Default", cfg.scenario))
 
 
 def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Schedules) -> SeedResult:
@@ -256,11 +228,12 @@ def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Sc
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
     train_demand, eval_demands = schedules
     streams = start.streams
-    sim_factory = _sim_factory(cfg, train_demand)
+    sim_factory = _training_env(cfg, "Default", train_demand)
     rollouts, start.first_rollouts = start.first_rollouts, None
 
     grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
-    rate = _initial_rate(cfg)
+    # dynamic ugat and gat start at +inf; ugat updates it after each iteration
+    rate = GroundingRate(alpha=float(cfg.static_alpha)) if cfg.algorithm == "ugat_static" else GroundingRate()
     d_sim: list[Transition] = []
     d_real: list[Transition] = []
     audit_rows: list[tuple] = []
@@ -295,7 +268,7 @@ def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Sc
             update_alpha(rate)
         alpha_trace.append((iteration, rate.alpha))
 
-    return _seed_result(cfg, seed, start.agent, eval_demands, start.curve, audit_rows, alpha_trace)
+    return _seed_result(cfg, seed, start, eval_demands, audit_rows, alpha_trace)
 
 
 # --- batteries: ablation, sweep, head comparison ----------------------------------------
@@ -323,13 +296,17 @@ def _trains_alone(cfg: ExperimentConfig) -> bool:
 def _run_seed(
     cfg: ExperimentConfig, seed: int, start: PolicyState | None, schedules: Schedules
 ) -> SeedResult:
-    """One (arm, seed) task: cfg's runner on its own copy of seed's start (None: it trains alone)."""
-    start = copy.deepcopy(start)
+    """One (arm, seed) task on its own copy of seed's start (None: a fresh, untrained one).
+
+    A grounded arm runs run_ugat; a direct arm continues the copy in the sim
+    twin to cfg.direct_episodes, the bytes of train_direct_policy.
+    """
+    train_demand, eval_demands = schedules
+    start = pretrain(cfg, seed, train_demand, 0) if start is None else copy.deepcopy(start)
     if cfg.algorithm != "direct":
         return run_ugat(cfg, seed, start, schedules)
-    train_demand, eval_demands = schedules
-    agent, curve = train_direct_policy(cfg, seed, train_demand, start)
-    return _seed_result(cfg, seed, agent, eval_demands, curve)
+    start.train(_training_env(cfg, "Default", train_demand), cfg.direct_episodes - len(start.curve))
+    return _seed_result(cfg, seed, start, eval_demands)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
@@ -346,7 +323,8 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
     - each seed's start: its pretraining and, when any arm grounds, the
       grounded loop's iteration-1 sim and real rollouts and the rollout
       stream after them. A direct arm reads neither, so it continues the
-      same start unless its budget is below the pretraining.
+      same start to its budget; one whose budget is below the pretraining
+      continues a fresh, untrained start of its own instead.
     The pool holds at most one worker per task.
 
     The tasks only compute; this is the one writer of the run tree. The

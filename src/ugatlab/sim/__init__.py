@@ -26,6 +26,7 @@ from ugatlab.sim.engine import (
     LifecycleError,
     MetricsRecord,
     TrafficSim,
+    check_tick,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "TURNS",
     "TrafficSim",
     "VehicleParams",
+    "check_tick",
     "generate_demand",
     "load_demand",
     "movement_index",

@@ -137,6 +137,12 @@ def _cruise_distance(params: VehicleParams, dt: float) -> float:
     return math.inf
 
 
+def check_tick(layout: IntersectionLayout, params: VehicleParams, config: SimConfig) -> None:
+    """Raise ConfigurationError if a vehicle at max_speed can traverse a whole lane in one tick."""
+    if params.max_speed * config.tick > layout.lane_length:
+        raise ConfigurationError("a vehicle must not traverse a whole lane in one tick")
+
+
 class TrafficSim:
     """Deterministic single-intersection episode with a reset/step interface."""
 
@@ -147,8 +153,7 @@ class TrafficSim:
         demand: DemandSchedule,
         config: SimConfig,
     ):
-        if params.max_speed * config.tick > layout.lane_length:
-            raise ConfigurationError("a vehicle must not traverse a whole lane in one tick")
+        check_tick(layout, params, config)
         self.layout = layout
         self.params = params
         self.demand = demand

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import csv
 import os
@@ -85,6 +86,66 @@ def test_battery_commands_reject_jobs_below_one(command, jobs, tmp_path, capsys)
     assert exc.value.code == 2
     assert f"argument --jobs: must be >= 1: {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+COMMON_OPTIONS = {"-h", "--help", "--config", "--out", "--seeds", "--scenario", "--quiet"}
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("train-direct", set()),
+        ("train-ugat", {"--head", "--alpha"}),
+        ("ablate", {"--head", "--jobs"}),
+        ("sweep-alpha", {"--head", "--alpha", "--jobs"}),
+        ("compare-uncertainty", {"--jobs"}),
+    ],
+)
+def test_each_protocol_subcommand_takes_its_own_options(command, options):
+    (subparsers,) = (a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {s for action in subparsers.choices[command]._actions for s in action.option_strings}
+    assert taken == COMMON_OPTIONS | options
+
+
+def exit_code(argv):
+    """main(argv)'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["train-direct", "--config", "{bad}", "--out", "{out}"], 1, "config: demand_seed must be >= 0: -1"),
+        (["demand-gen", "--seed", "-1", "--out-file", "{out}"], 2, "argument --seed: must be >= 0: -1"),
+        (["gradcheck", "--seed", "-1"], 2, "argument --seed: must be >= 0: -1"),
+    ],
+)
+def test_a_negative_seed_fails_naming_its_input(argv, code, message, tmp_path, capsys):
+    bad = tiny_with(tmp_path / "bad.cfg", {("experiment", "demand_seed"): "-1"})
+    out = tmp_path / "out"
+    assert exit_code([a.format(bad=bad, out=out) for a in argv]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_tick_that_crosses_a_whole_lane_fails_before_anything_is_written(tmp_path, capsys):
+    settings = {
+        ("sim", "tick"): "25",
+        ("sim", "decision_interval"): "25",
+        ("sim", "yellow_time"): "0",
+        ("sim", "episode_length"): "250",
+        ("experiment", "demand_vph"): "1000",
+        ("experiment", "steps_per_episode"): "2",
+    }
+    cfg = tiny_with(tmp_path / "bad.cfg", settings)
+    out = tmp_path / "out"
+    assert main(["train-direct", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "ugatlab: error: config: a vehicle must not traverse a whole lane in one tick\n"
+    assert not out.exists()
 
 
 def test_unknown_key_is_named_in_diagnostic(tmp_path, capsys):

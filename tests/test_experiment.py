@@ -10,7 +10,15 @@ from ugatlab.experiment import EvalResult, ExperimentConfig, compute_gap, run_ab
 from ugatlab.experiment import io, protocols
 from ugatlab.experiment.protocols import _demands
 from ugatlab.grounding import GroundingConfig
-from ugatlab.sim import N_LANES, N_PHASES, MetricsRecord, SimConfig
+from ugatlab.sim import (
+    N_LANES,
+    N_PHASES,
+    SCENARIOS,
+    ConfigurationError,
+    IntersectionLayout,
+    MetricsRecord,
+    SimConfig,
+)
 
 from protocol_helpers import run_one, run_scripted, seed_trace
 
@@ -300,10 +308,18 @@ def test_shared_pretraining_gives_every_arm_the_bytes_it_gets_alone(monkeypatch)
     assert reversed_order == shared
 
 
-def test_a_direct_arm_below_the_pretraining_budget_runs_no_start(monkeypatch):
-    cfg = tiny_cfg(algorithm="direct", seeds=(1, 2), pretrain_episodes=2, direct_episodes=1)
+@pytest.mark.parametrize(
+    "direct_episodes",
+    [
+        pytest.param(1, id="below-the-pretraining-trains-alone"),
+        pytest.param(3, id="above-the-pretraining-continues-the-start"),
+    ],
+)
+def test_a_direct_arm_trains_the_bytes_of_train_direct_policy(direct_episodes, monkeypatch):
+    cfg = tiny_cfg(algorithm="direct", seeds=(1, 2), pretrain_episodes=2, direct_episodes=direct_episodes)
     ((_, report),), calls = run_recorded(monkeypatch, lambda: protocols.run_arms([("direct", cfg)]))
-    assert calls["pretrain"] == [1, 2]  # the arm's own training, and no start beside it
+    # one start per seed: the shared pretraining, or the arm's own fresh one and no other beside it
+    assert calls["pretrain"] == [1, 2]
     train_demand, _ = _demands(cfg)
     for sr in report.per_seed:
         agent, curve = protocols.train_direct_policy(cfg, sr.seed, train_demand)
@@ -377,14 +393,6 @@ def test_run_arms_pool_has_at_most_one_worker_per_arm_or_seed(monkeypatch):
     run_ablation(cfg, jobs=64)
     protocols.run_arms([("a", cfg)], jobs=64)  # one (arm, seed) task runs in this process
     assert sizes == [2, 6, 2, 4]
-
-
-def test_direct_transfer_refuses_a_state_past_its_budget():
-    cfg = tiny_cfg(algorithm="direct", direct_episodes=1)
-    train_demand, _ = _demands(cfg)
-    state = protocols.pretrain(cfg, 1, train_demand, episodes=2)
-    with pytest.raises(ValueError, match="direct_episodes"):
-        protocols.train_direct_policy(cfg, 1, train_demand, state)
 
 
 def test_run_arms_writes_the_shared_demands_before_any_arm_starts(tmp_path, monkeypatch):
@@ -505,6 +513,15 @@ def test_demand_vph_bound_is_one_spawn_per_lane_and_tick():
     with pytest.raises(ValueError, match="demand_vph"):
         ExperimentConfig(demand_vph=43_200.5)
     assert ExperimentConfig(demand_vph=86_400.0, sim=SimConfig(tick=0.5)).demand_vph == 86_400.0
+
+
+@pytest.mark.parametrize("twin", ["Default", "V4"])
+def test_a_tick_that_crosses_a_whole_lane_in_either_twin_fails_at_construction(twin, monkeypatch):
+    lane = IntersectionLayout().lane_length
+    assert ExperimentConfig(scenario="V4", sim=SimConfig(tick=1.0)).sim.tick == 1.0
+    monkeypatch.setitem(SCENARIOS, twin, replace(SCENARIOS[twin], max_speed=lane + 1.0))
+    with pytest.raises(ConfigurationError, match="^a vehicle must not traverse a whole lane in one tick$"):
+        ExperimentConfig(scenario="V4", sim=SimConfig(tick=1.0))
 
 
 @pytest.mark.parametrize("alpha", [-math.inf, math.nan, -0.1])
