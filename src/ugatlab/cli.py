@@ -196,7 +196,11 @@ def cmd_gap_report(args) -> int:
         for sd in sorted(base.glob("seed*")):
             seed = sd.name.removeprefix("seed")
             metrics = sd / "metrics.csv"
-            episodes = io.read_metrics_csv(metrics) if seed.isdigit() and metrics.exists() else {}
+            try:
+                episodes = io.read_metrics_csv(metrics) if seed.isdigit() and metrics.exists() else {}
+            except ValueError as exc:
+                incomplete.append(f"{sd} ({exc})")
+                continue
             if not {"sim", "real"} <= episodes.keys():
                 incomplete.append(str(sd))
                 continue

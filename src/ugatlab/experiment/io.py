@@ -287,10 +287,22 @@ def write_summary(out_dir: str | Path, rows: Sequence[tuple[str, GapReport]]) ->
 
 
 def read_metrics_csv(path: str | Path) -> dict[str, list[MetricsRecord]]:
-    """A metrics.csv read back into its MetricsRecords, one list per env in file order."""
+    """A metrics.csv read back into its MetricsRecords, one list per env in file order.
+
+    A missing column, a row whose length differs from the header's or a value
+    that does not parse raises a ValueError that names the file and line."""
     episodes: dict[str, list[MetricsRecord]] = {}
     with Path(path).open() as fh:
-        for row in csv.DictReader(fh):
-            record = MetricsRecord(**{f: ftype(row[f]) for f, ftype in _RECORD_TYPES.items()})
+        reader = csv.DictReader(fh)
+        missing = [f for f in ("env", *_RECORD_TYPES) if f not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                if None in row or None in row.values():  # DictReader's marks of a long or short row
+                    raise ValueError(f"row length differs from the header's {len(reader.fieldnames)} columns")
+                record = MetricsRecord(**{f: ftype(row[f]) for f, ftype in _RECORD_TYPES.items()})
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             episodes.setdefault(row["env"], []).append(record)
     return episodes

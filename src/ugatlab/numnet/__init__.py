@@ -3,9 +3,9 @@
 Matrices are 2-D float64 numpy arrays in C (row-major) order, vectors are
 1-D float64 arrays; batched calls stack samples along the first axis. An
 MlpModel copies the arrays it is given into one flat float64 vector,
-``params``, and keeps per-layer weight and bias views into it. Gradients
-have the same layout: backward() writes each layer's gradient into its view
-of one new ``Gradients.flat``, and adam_step() reads that vector as it is.
+``params``, and keeps per-layer weight and bias views into it. A gradient is
+one float64 vector with the same layout: backward() writes each layer's
+gradient into its view of a new one, and adam_step() reads it as it is.
 forward() and backward() work in place in the arrays they allocate, with
 the bytes of the allocating form.
 """
@@ -13,7 +13,6 @@ the bytes of the allocating form.
 from ugatlab.numnet.mlp import (
     CacheError,
     ForwardCache,
-    Gradients,
     MlpModel,
     MlpSpec,
     ShapeError,
@@ -33,7 +32,6 @@ __all__ = [
     "EvidenceError",
     "ForwardCache",
     "GradCheckResult",
-    "Gradients",
     "MlpModel",
     "MlpSpec",
     "ShapeError",

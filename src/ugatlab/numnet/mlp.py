@@ -101,25 +101,6 @@ class ForwardCache:
     single: bool
 
 
-@dataclass
-class Gradients:
-    """d(loss)/d(parameters) in one flat vector laid out like ``MlpModel.params``.
-
-    ``weights`` and ``biases`` are views into ``flat``. Built from separate
-    arrays, a Gradients copies them into a new ``flat`` once, as MlpModel
-    does; backward() passes the vector its views already cover.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.flat is None:
-            self.flat = flatten(self.weights, self.biases)
-            self.weights, self.biases = split(self.flat, self.weights, self.biases)
-
-
 def init_model(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
     """Seeded uniform init scaled by 1/sqrt(fan_in); zero biases."""
     weights, biases = [], []
@@ -185,16 +166,17 @@ def forward(
     return (out[0] if single else out), cache
 
 
-def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
+def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
     """Exact gradients of a scalar loss given d(loss)/d(output).
 
     For a batch, loss_grad must already carry any 1/n averaging; gradients
-    are summed over the batch axis. loss_grad is only read. Each weight and
-    bias gradient is written into its view of one new flat vector, the
-    returned ``Gradients.flat``. A hidden unit's relu mask is ``a > 0`` on
-    its activation (the next layer's input), which equals ``z > 0``; a unit
-    that dropout dropped has a = 0, so the same mask drops its gradient. The
-    bytes are those of multiplying by the dropout mask and then by ``z > 0``.
+    are summed over the batch axis. loss_grad is only read. The result is one
+    new float64 vector laid out like ``model.params``: each weight and bias
+    gradient is written into its split() view of it. A hidden unit's relu
+    mask is ``a > 0`` on its activation (the next layer's input), which
+    equals ``z > 0``; a unit that dropout dropped has a = 0, so the same mask
+    drops its gradient. The bytes are those of multiplying by the dropout
+    mask and then by ``z > 0``.
     """
     if cache.model is not model:
         raise CacheError("cache was produced by a different model")
@@ -206,24 +188,15 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> Gra
 
     delta = g * (cache.preact > 0.0) if model.spec.output_activation == "relu" else g
 
-    n = model.spec.n_layers
     flat = np.empty_like(model.params)
-    grads_w: list = [None] * n
-    grads_b: list = [None] * n
-    # make each view just before writing it, which costs less than making all
-    # six first; walk flatten()'s layout from its end: the biases end the
-    # vector, and the weights end where the biases start
-    b_stop = flat.size
-    w_stop = b_stop - sum(model.spec.layer_sizes[1:])
-    for l in range(n - 1, -1, -1):
+    grads_w, grads_b = split(flat, model.weights, model.biases)
+    for l in range(model.spec.n_layers - 1, -1, -1):
         w, a = model.weights[l], cache.inputs[l]
-        w_start, b_start = w_stop - w.size, b_stop - len(w)
-        grads_w[l] = np.matmul(delta.T, a, out=flat[w_start:w_stop].reshape(w.shape))
-        grads_b[l] = np.add.reduce(delta, axis=0, out=flat[b_start:b_stop])
-        w_stop, b_stop = w_start, b_start
+        np.matmul(delta.T, a, out=grads_w[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l > 0:
             delta = delta @ w
             if cache.dropout:
                 delta /= 1.0 - model.spec.dropout_rate
             delta *= a > 0.0
-    return Gradients(weights=grads_w, biases=grads_b, flat=flat)
+    return flat

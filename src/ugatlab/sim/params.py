@@ -51,7 +51,10 @@ SCENARIOS: dict[str, VehicleParams] = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Timing constants for one episode; tick must divide the decision interval."""
+    """Timing constants for one episode.
+
+    tick must divide the decision interval and the yellow time, and the
+    decision interval must divide the episode length."""
 
     decision_interval: float = 10.0  # s between controller decisions
     tick: float = 1.0  # s of kinematics integration
@@ -65,16 +68,14 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive: {value}")
-        ratio = self.decision_interval / self.tick
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                f"tick {self.tick} must divide decision_interval {self.decision_interval}"
-            )
         if not 0 <= self.yellow_time < self.decision_interval:
             raise ValueError("yellow_time must lie in [0, decision_interval)")
-        yratio = self.yellow_time / self.tick
-        if abs(yratio - round(yratio)) > 1e-9:
-            raise ValueError(f"tick {self.tick} must divide yellow_time {self.yellow_time}")
+        # an episode ends only at a decision, so a length between two of them runs on to the next
+        divides = (("tick", "decision_interval"), ("tick", "yellow_time"), ("decision_interval", "episode_length"))
+        for part, whole in divides:
+            p, w = getattr(self, part), getattr(self, whole)
+            if abs(w / p - round(w / p)) > 1e-9:
+                raise ValueError(f"{part} {p} must divide {whole} {w}")
         if not self.queue_speed_threshold >= 0:  # NaN fails too
             raise ValueError(f"queue_speed_threshold must be >= 0: {self.queue_speed_threshold}")
 

@@ -3,17 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from ugatlab.numnet import (
-    Gradients,
-    MlpSpec,
-    ShapeError,
-    adam_step,
-    backward,
-    clone_model,
-    forward,
-    init_adam,
-    init_model,
-)
+from ugatlab.numnet import MlpSpec, ShapeError, adam_step, backward, forward, init_adam, init_model
+from ugatlab.numnet.mlp import flatten, split
 
 
 def make_model(seed=0):
@@ -21,10 +12,13 @@ def make_model(seed=0):
 
 
 def zero_grads(model):
-    return Gradients(
-        weights=[np.zeros_like(w) for w in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
-    )
+    return flatten([np.zeros_like(w) for w in model.weights], [np.zeros_like(b) for b in model.biases])
+
+
+def layers(model, grad):
+    # grad's per-layer views, weights then biases, as split() lays them out
+    grads_w, grads_b = split(grad, model.weights, model.biases)
+    return [*grads_w, *grads_b]
 
 
 def test_zero_gradients_leave_parameters_unchanged():
@@ -41,12 +35,12 @@ def test_single_step_matches_bias_corrected_hand_formula():
     # from zero moments: m_hat = g, v_hat = g^2, update = -lr * g/(|g|+eps)
     model = make_model(seed=4)
     lr, eps = 1e-3, 1e-8
-    state = init_adam(model, learning_rate=lr, eps=eps)
-    grads = zero_grads(model)
+    state = init_adam(model, learning_rate=lr)
+    grad = zero_grads(model)
     g = np.array([[0.3, -0.7], [1.5, 0.0], [-2.0, 0.25]])
-    grads.weights[0][:] = g  # a view into grads.flat, which adam_step reads
+    layers(model, grad)[0][:] = g  # a view into grad, which adam_step reads
     before = model.weights[0].copy()
-    adam_step(model, grads, state)
+    adam_step(model, grad, state)
     expected = before - lr * g / (np.abs(g) + eps)
     np.testing.assert_allclose(model.weights[0], expected, atol=1e-15)
 
@@ -69,9 +63,9 @@ def test_two_steps_match_sequential_scalar_oracle():
     g1, g2 = 0.8, -0.45
     theta0 = float(model.weights[0][0, 0])
     for g in (g1, g2):
-        grads = zero_grads(model)
-        grads.weights[0][0, 0] = g
-        adam_step(model, grads, state)
+        grad = zero_grads(model)
+        layers(model, grad)[0][0, 0] = g
+        adam_step(model, grad, state)
     expected = adam_scalar_oracle(theta0, [g1, g2])
     assert abs(float(model.weights[0][0, 0]) - expected) < 1e-14
     assert state.step == 2
@@ -80,16 +74,16 @@ def test_two_steps_match_sequential_scalar_oracle():
 def test_shape_mismatch_rejected():
     model = make_model()
     state = init_adam(model)
-    grads = zero_grads(model)
-    grads.weights[0] = np.zeros((1, 1))
-    with pytest.raises(ShapeError):
-        adam_step(model, grads, state)
+    n = model.params.size
+    for grad in (np.zeros(n - 1), np.zeros((1, n))):  # a wrong length, and params' length in 2-D
+        with pytest.raises(ShapeError):
+            adam_step(model, grad, state)
+    assert state.step == 0
 
 
 def random_grads(model, rng):
-    return Gradients(
-        weights=[rng.normal(size=w.shape) for w in model.weights],
-        biases=[rng.normal(size=b.shape) for b in model.biases],
+    return flatten(
+        [rng.normal(size=w.shape) for w in model.weights], [rng.normal(size=b.shape) for b in model.biases]
     )
 
 
@@ -112,12 +106,10 @@ def test_five_steps_equal_the_per_layer_update_bit_for_bit():
     model = init_model(MlpSpec(layer_sizes=(4, 6, 5, 3)), np.random.default_rng(5))
     rng = np.random.default_rng(6)
     grad_steps = [random_grads(model, rng) for _ in range(5)]
-    expected = per_layer_adam(
-        [*model.weights, *model.biases], [[*g.weights, *g.biases] for g in grad_steps]
-    )
+    expected = per_layer_adam([*model.weights, *model.biases], [layers(model, g) for g in grad_steps])
     state = init_adam(model)
-    for grads in grad_steps:
-        adam_step(model, grads, state)
+    for grad in grad_steps:
+        adam_step(model, grad, state)
     for got, want in zip((*model.weights, *model.biases), expected):
         assert np.array_equal(got, want)
 
@@ -127,10 +119,10 @@ def test_adam_step_leaves_the_gradients_alone():
     rng = np.random.default_rng(6)
     state = init_adam(model)
     for _ in range(3):
-        grads = random_grads(model, rng)
-        before = [a.tobytes() for a in (*grads.weights, *grads.biases)]
-        adam_step(model, grads, state)
-        assert [a.tobytes() for a in (*grads.weights, *grads.biases)] == before
+        grad = random_grads(model, rng)
+        before = grad.tobytes()
+        adam_step(model, grad, state)
+        assert grad.tobytes() == before
 
 
 def test_params_after_adam_steps_are_pinned():
@@ -145,9 +137,8 @@ def test_params_after_adam_steps_are_pinned():
     assert digest == "dc1e0a0092a93e132c0bd19c9ba99ad73650961fb2dbd4ad6d0d6a6a5451f555"
 
 
-def reference_adam(params, m, v, step, grads, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
-    # the allocating form: concatenate the gradients, then a new array per operation
-    g = np.concatenate([a.ravel() for a in (*grads.weights, *grads.biases)])
+def reference_adam(params, m, v, step, g, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    # the allocating form: a new array per operation
     m = b1 * m + (1.0 - b1) * g
     v = b2 * v + ((1.0 - b2) * g) * g
     m_hat = m / (1.0 - b1**step)
@@ -168,25 +159,10 @@ def test_adam_step_gives_the_bytes_of_the_allocating_reference(rows):
     state = init_adam(model)
     params, m, v = model.params.copy(), state.m.copy(), state.v.copy()
     for step in range(1, 31):
-        grads = backward_grads(model, rng, rows)
-        flat = grads.flat.tobytes()
-        params, m, v = reference_adam(params, m, v, step, grads)
-        adam_step(model, grads, state)
-        assert grads.flat.tobytes() == flat
+        grad = backward_grads(model, rng, rows)
+        flat = grad.tobytes()
+        params, m, v = reference_adam(params, m, v, step, grad)
+        adam_step(model, grad, state)
+        assert grad.tobytes() == flat
         assert model.params.tobytes() == params.tobytes()
         assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
-
-
-def test_gradients_from_separate_arrays_step_like_those_from_backward():
-    model = init_model(MlpSpec(layer_sizes=(20, 64, 64, 8)), np.random.default_rng(3))
-    twin = clone_model(model)
-    state, twin_state = init_adam(model), init_adam(twin)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        grads = backward_grads(model, rng, 64)
-        separate = Gradients(
-            weights=[w.copy() for w in grads.weights], biases=[b.copy() for b in grads.biases]
-        )
-        adam_step(model, grads, state)
-        adam_step(twin, separate, twin_state)
-    assert model.params.tobytes() == twin.params.tobytes()

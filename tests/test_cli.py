@@ -440,6 +440,39 @@ def test_gap_report_lists_incomplete_dirs(tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
+METRICS_HEADER = ["env", "episode", "att", "tp", "reward_mean", "queue_mean", "delay", "delay_seconds", "spawned"]
+
+
+@pytest.mark.parametrize(
+    "case, line",
+    [
+        ("missing column", "line 1: missing column(s) att"),
+        ("non-numeric value", "line 3: could not convert string to float: 'oops'"),
+        ("short row", "line 2: row length differs from the header's 9 columns"),
+    ],
+)
+def test_gap_report_skips_a_malformed_metrics_csv(tmp_path, capsys, case, line):
+    run = tmp_path / "direct" / "V1"
+    rows = [METRICS_HEADER, ["sim", "0", "50.0", "10", "-1.0", "2.0", "0.1", "5.0", "12"]]
+    rows.append(["real", "0", "60.0", "9", "-1.5", "3.0", "0.2", "6.0", "12"])
+    for seed in (1, 2):
+        if seed == 2 and case == "missing column":
+            rows = [r[:2] + r[3:] for r in rows]
+        elif seed == 2 and case == "non-numeric value":
+            rows[2][2] = "oops"
+        elif seed == 2:
+            rows[1] = rows[1][:-1]
+        (run / f"seed{seed}").mkdir(parents=True)
+        (run / f"seed{seed}" / "metrics.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    assert main(["gap-report", str(run), "--out", str(tmp_path / "m"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"incomplete run dir skipped: {run / 'seed2'} ({run / 'seed2' / 'metrics.csv'}: {line})" in err
+    assert str(run / "seed1") not in err
+    report = read_gap_csv(tmp_path / "m" / "gap_report.csv")
+    assert {r["seeds"] for r in report} == {"1"}
+    assert {r["metric"]: float(r["delta_mean"]) for r in report}["ATT"] == 10.0
+
+
 def test_gap_report_writes_the_protocol_report_schema(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["train-direct", "--config", tiny_config, "--out", str(out), "--quiet"]) == 0
@@ -556,6 +589,7 @@ def test_negative_infinite_static_alpha_in_config_fails(tmp_path, capsys):
         ("experiment", "demand_vph", "nan"),
         ("sim", "episode_length", "nan"),
         ("sim", "episode_length", "inf"),
+        ("sim", "episode_length", "65"),
         ("sim", "decision_interval", "inf"),
         ("sim", "queue_speed_threshold", "nan"),
     ],

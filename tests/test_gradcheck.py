@@ -1,8 +1,9 @@
 import importlib
 
 import numpy as np
+import pytest
 
-from ugatlab.numnet import Gradients, MlpModel, MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
+from ugatlab.numnet import MlpModel, MlpSpec, cce_loss, edl_loss, gradcheck, init_model, mse_loss
 
 
 def test_linear_mse_is_near_exact():
@@ -71,10 +72,30 @@ def test_a_wrong_backward_still_fails_beside_skipped_kinks(monkeypatch):
     right = module.backward
 
     def wrong(model, cache, loss_grad):
-        grads = right(model, cache, loss_grad)
-        return Gradients([w + 1e-3 for w in grads.weights], [b + 1e-3 for b in grads.biases])
+        return right(model, cache, loss_grad) + 1e-3
 
     monkeypatch.setattr(module, "backward", wrong)
     result = gradcheck(dead_relu_edl_model(), lambda y: edl_loss(y, 1, anneal=0.5), np.ones(3))
     assert result.skipped == 2
+    assert not result.passed
+
+
+@pytest.mark.parametrize("i", [0, 13, 25])  # the first weight, a W1 weight, the last bias
+def test_worst_names_the_one_wrong_coordinate(monkeypatch, i):
+    # worst indexes model.params, so it names the right coordinate only while
+    # backward's result is laid out like params
+    module = importlib.import_module("ugatlab.numnet.gradcheck")
+    right = module.backward
+
+    def wrong(model, cache, loss_grad):
+        grad = right(model, cache, loss_grad)
+        grad[i] += 1e-3
+        return grad
+
+    monkeypatch.setattr(module, "backward", wrong)
+    model = init_model(MlpSpec(layer_sizes=(3, 4, 2)), np.random.default_rng(5))  # 26 parameters
+    target = np.array([1.0, -1.0])
+    result = gradcheck(model, lambda y: mse_loss(y, target), np.array([0.5, 1.5, -1.0]))
+    assert result.skipped == 0
+    assert result.worst == i
     assert not result.passed

@@ -5,7 +5,6 @@ import pytest
 
 from ugatlab.numnet import (
     CacheError,
-    Gradients,
     MlpModel,
     MlpSpec,
     ShapeError,
@@ -16,7 +15,7 @@ from ugatlab.numnet import (
     mse_loss,
     softmax,
 )
-from ugatlab.numnet.mlp import flatten
+from ugatlab.numnet.mlp import split
 
 
 def make_model(sizes, seed=0, **spec_kw):
@@ -117,9 +116,8 @@ def test_infer_mode_dropout_is_identity_unless_forced():
 def test_backward_zero_loss_grad_gives_zero_gradients():
     model = make_model([3, 5, 2], seed=5)
     out, cache = forward(model, np.array([1.0, 2.0, 3.0]))
-    grads = backward(model, cache, np.zeros_like(out))
-    assert all(np.all(g == 0.0) for g in grads.weights)
-    assert all(np.all(g == 0.0) for g in grads.biases)
+    grad = backward(model, cache, np.zeros_like(out))
+    assert grad.shape == model.params.shape and np.all(grad == 0.0)
 
 
 def test_backward_rejects_foreign_cache():
@@ -137,10 +135,10 @@ def test_linear_model_mse_gradient_closed_form():
     y = np.array([1.0, -1.0])
     out, cache = forward(model, x)
     loss, dloss = mse_loss(out, y)
-    grads = backward(model, cache, dloss)
+    grads_w, grads_b = split(backward(model, cache, dloss), model.weights, model.biases)
     expected_w = np.outer(2.0 * (out - y) / 2.0, x)
-    np.testing.assert_allclose(grads.weights[0], expected_w, atol=1e-12)
-    np.testing.assert_allclose(grads.biases[0], 2.0 * (out - y) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(grads_w[0], expected_w, atol=1e-12)
+    np.testing.assert_allclose(grads_b[0], 2.0 * (out - y) / 2.0, atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
@@ -237,19 +235,7 @@ def test_in_place_kernels_give_the_bytes_of_the_allocating_reference(rows, activ
         seed = int(rng.integers(2**32))
         want_out, want_flat = reference_pass(model, x, g, np.random.default_rng(seed))
         out, cache = forward(model, x, np.random.default_rng(seed))
-        grads = backward(model, cache, g)
+        grad = backward(model, cache, g)
         assert out.tobytes() == want_out.tobytes()
-        assert grads.flat.tobytes() == want_flat.tobytes()
+        assert grad.tobytes() == want_flat.tobytes()
         assert x.tobytes() == x_bytes and g.tobytes() == g_bytes  # inputs are only read
-        assert grads.flat.tobytes() == flatten(grads.weights, grads.biases).tobytes()
-        assert all(np.shares_memory(a, grads.flat) for a in (*grads.weights, *grads.biases))
-
-
-def test_gradients_from_separate_arrays_copy_them_into_flat():
-    weights, biases = [np.ones((3, 2)), np.full((1, 3), 2.0)], [np.zeros(3), np.full(1, 3.0)]
-    grads = Gradients(weights=weights, biases=biases)
-    assert grads.flat.tolist() == [1.0] * 6 + [2.0] * 3 + [0.0] * 3 + [3.0]
-    weights[0][0, 0] = 9.0
-    assert grads.flat[0] == 1.0
-    grads.weights[1][0, 2] = -1.0
-    assert grads.flat[8] == -1.0

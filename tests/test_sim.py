@@ -710,6 +710,13 @@ def test_sim_config_rejects_non_finite_or_negative_settings(field, bad):
         SimConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("length", [5.0, 15.0, 3605.0])
+def test_sim_config_rejects_an_episode_that_ends_between_decisions(length):
+    # the engine ends an episode only at a decision, so 5 s used to run to 10 s
+    with pytest.raises(ValueError, match=f"^decision_interval 10.0 must divide episode_length {length}$"):
+        SimConfig(episode_length=length)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_layout_rejects_non_finite_lane_length(bad):
     with pytest.raises(ValueError, match="lane_length"):
