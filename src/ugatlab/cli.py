@@ -209,8 +209,10 @@ def cmd_gap_report(args) -> int:
         if not per_seed:
             incomplete.append(str(base))
             continue
-        label = f"{base.parent.name}/{base.name}" if base.parent.name else base.name
-        rows.append((label, io.build_gap_report(base.parent.name, base.name, per_seed)))
+        # named from its absolute path, so "." and ".." name the directory they stand for
+        named = Path(os.path.abspath(base))
+        label = f"{named.parent.name}/{named.name}" if named.parent.name else named.name
+        rows.append((label, io.build_gap_report(named.parent.name, named.name, per_seed)))
     path = io.write_gap_reports(resolve_out_dir(args), rows)
     if not args.quiet:
         print(f"wrote {path}")

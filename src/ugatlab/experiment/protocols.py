@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -18,14 +19,12 @@ from ugatlab.experiment.config import ExperimentConfig
 from ugatlab.experiment.io import EvalResult, GapReport, SeedResult, build_gap_report
 from ugatlab.grounding import (
     ForwardModel,
-    GroundingRate,
     InverseModel,
     UncertainAction,
     gate,
     ground,
     train_forward,
     train_inverse,
-    update_alpha,
 )
 from ugatlab.sim import (
     SCENARIOS,
@@ -188,6 +187,9 @@ class Grounder:
         self.cfg = cfg
         self._init_rng = init_rng
         self._head_rng = head_rng
+        # the first fit() replaces these unused; they stay only because building
+        # them draws from the grounder_init stream, which fixes every grounded
+        # run's bytes
         self.forward_model = ForwardModel(cfg.grounding, init_rng)
         self.inverse_model = InverseModel(cfg.grounding, cfg.head, init_rng)
 
@@ -219,10 +221,11 @@ def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Sc
     start is this seed's state after cfg.pretrain_episodes, with iteration
     1's sim and real rollouts in first_rollouts. Per iteration: take those
     rollouts (collect fresh ones from iteration 2 on), refit the
-    transformation models, clear the uncertainty log, run E grounded
-    policy-training episodes of T steps (gating every step, learning every
-    step), and finally update alpha under the dynamic rule. gat pins alpha at
-    +inf and ugat_static at its constant; both skip the update.
+    transformation models, run E grounded policy-training episodes of T steps
+    (gating every step on u < alpha, learning every step, logging each step
+    as an audit row), and finally, under the dynamic rule, set alpha to the
+    mean u of this iteration's audit rows. ugat starts alpha at +inf; gat
+    pins it there and ugat_static at its constant.
     """
     if cfg.algorithm == "direct":
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
@@ -232,8 +235,7 @@ def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Sc
     rollouts, start.first_rollouts = start.first_rollouts, None
 
     grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
-    # dynamic ugat and gat start at +inf; ugat updates it after each iteration
-    rate = GroundingRate(alpha=float(cfg.static_alpha)) if cfg.algorithm == "ugat_static" else GroundingRate()
+    alpha = float(cfg.static_alpha) if cfg.algorithm == "ugat_static" else math.inf
     d_sim: list[Transition] = []
     d_real: list[Transition] = []
     audit_rows: list[tuple] = []
@@ -241,18 +243,9 @@ def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Sc
 
     def grounded_step(state: np.ndarray, action: int) -> int:
         grounded = grounder.ground(state, action)
-        executed, accepted = gate(action, grounded, rate)
-        audit_rows.append(
-            (
-                len(audit_rows),
-                state_hash(state),
-                action,
-                grounded.action,
-                grounded.uncertainty,
-                rate.alpha,
-                accepted,
-            )
-        )
+        executed, accepted = gate(action, grounded, alpha)
+        u = grounded.uncertainty
+        audit_rows.append((len(audit_rows), state_hash(state), action, grounded.action, u, alpha, accepted))
         return executed
 
     for iteration in range(1, cfg.iterations + 1):
@@ -262,11 +255,11 @@ def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Sc
         d_real.extend(rollouts[1])
         grounder.fit(d_real, d_sim, streams["grounder_train"])
 
-        rate.logged.clear()
+        first_row = len(audit_rows)
         start.train(sim_factory, cfg.epochs_per_iteration, step_hook=grounded_step)
         if cfg.algorithm == "ugat":
-            update_alpha(rate)
-        alpha_trace.append((iteration, rate.alpha))
+            alpha = float(np.mean([row[4] for row in audit_rows[first_row:]]))
+        alpha_trace.append((iteration, alpha))
 
     return _seed_result(cfg, seed, start, eval_demands, audit_rows, alpha_trace)
 

@@ -4,15 +4,15 @@ The forward model learns the stand-in-for-reality dynamics (s, a) -> s' from
 real-environment rollouts; the inverse model learns which simulation action
 carries s to a given next state. Grounding composes them: predict the real
 next state, then ask the inverse model which simulation action reproduces
-it. The inverse head also emits a scalar uncertainty in [0, 1] used by the
-gate, and the grounding rate tracks the running mean of logged uncertainties.
+it. The inverse head also emits a scalar uncertainty u in [0, 1]; the gate
+keeps the grounded action only when u is below the grounding rate alpha, a
+plain float that the protocol runner owns and updates.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +33,6 @@ from ugatlab.numnet import (
 )
 from ugatlab.sim import N_LANES, N_PHASES, STATE_DIM
 
-logger = logging.getLogger(__name__)
-
 HEAD_KINDS = ("edl", "dropout", "ensemble", "logits")
 
 
@@ -46,19 +44,6 @@ class UntrainedModelError(RuntimeError):
 class UncertainAction:
     action: int
     uncertainty: float
-
-
-@dataclass
-class GroundingRate:
-    """Acceptance threshold alpha plus the per-iteration uncertainty log.
-
-    alpha starts at +inf (everything accepted) and, under the dynamic rule,
-    becomes the arithmetic mean of the uncertainties logged in the iteration
-    that just ended.
-    """
-
-    alpha: float = math.inf
-    logged: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -95,12 +80,6 @@ def normalize_state(state: np.ndarray, count_scale: float) -> np.ndarray:
     """Scale lane-count channels; phase one-hot channels pass through."""
     out = np.array(state, dtype=np.float64, copy=True)
     out[..., :N_LANES] /= count_scale
-    return out
-
-
-def onehot_actions(actions: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(actions), N_PHASES))
-    out[np.arange(len(actions)), actions] = 1.0
     return out
 
 
@@ -202,7 +181,7 @@ def train_forward(
 ) -> list[float]:
     """Minibatch Adam on MSE(f(s, a), s'); returns the per-epoch loss trace."""
     states, actions, y = _dataset(d_real, fm.config.count_scale)
-    x = np.hstack([states, onehot_actions(actions)])
+    x = np.hstack([states, np.eye(N_PHASES)[actions]])
     loss_fn = lambda out, t, _: mse_loss(out, t)
     return _train(fm, [fm.model], [fm.adam], x, y, loss_fn, epochs, batch, rng)
 
@@ -320,18 +299,7 @@ def ground(
     return UncertainAction(action=a_hat, uncertainty=u)
 
 
-def gate(original: int, grounded: UncertainAction, rate: GroundingRate) -> tuple[int, bool]:
-    """Reject the grounded action when u >= alpha; always log the uncertainty."""
-    accepted = grounded.uncertainty < rate.alpha
-    rate.logged.append(grounded.uncertainty)
+def gate(original: int, grounded: UncertainAction, alpha: float) -> tuple[int, bool]:
+    """The grounded action when u < alpha, else the original; and whether it was accepted."""
+    accepted = grounded.uncertainty < alpha
     return (grounded.action if accepted else original), accepted
-
-
-def update_alpha(rate: GroundingRate) -> float:
-    """Set alpha to the mean of this iteration's log, then clear the log."""
-    if not rate.logged:
-        logger.warning("update_alpha called with an empty uncertainty log; alpha unchanged")
-        return rate.alpha
-    rate.alpha = float(np.mean(rate.logged))
-    rate.logged.clear()
-    return rate.alpha

@@ -1,6 +1,7 @@
 import argparse
 import configparser
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -486,6 +487,19 @@ def test_gap_report_writes_the_protocol_report_schema(tiny_config, tmp_path):
     assert {(r["label"], r["protocol"], r["scenario"]) for r in rows} == {("direct/V1", "direct", "V1")}
 
 
+
+def test_gap_report_names_dot_and_dot_dot_by_the_directory_they_stand_for(tiny_config, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["train-direct", "--config", tiny_config, "--out", str(out), "--quiet"]) == 0
+    run = out / "direct" / "V1"
+    assert main(["gap-report", str(run), "--out", str(tmp_path / "full"), "--quiet"]) == 0
+    expected = (tmp_path / "full" / "gap_report.csv").read_bytes()
+    for cwd, typed, name in ((run, ".", "dot"), (run / "seed1", "..", "dotdot")):
+        monkeypatch.chdir(cwd)
+        merged = tmp_path / name
+        assert main(["gap-report", typed, "--out", str(merged), "--quiet"]) == 0
+        assert (merged / "gap_report.csv").read_bytes() == expected
+
 def test_dqn_state_scale_from_config_file_is_echoed(tmp_path):
     cfg = tmp_path / "scale.cfg"
     scale = ",".join(["0.5"] * 20)
@@ -657,6 +671,25 @@ def test_sweep_alpha_rejects_rates_that_share_a_label(alphas, tiny_config, tmp_p
     assert "distinct labels" in err
     assert not out.exists()
 
+
+
+def test_sweep_alpha_tree_is_pinned(tmp_path):
+    # the dynamic arm accepts every step at alpha = +inf in iteration 1 and
+    # rejects every step at alpha ~ 0.524 in iteration 2; static 0.5 rejects
+    # and static 0.9 accepts all 240 steps, so the pin covers both gate
+    # outcomes under both the dynamic and the static rate
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "[experiment]\npretrain_episodes = 2\niterations = 2\nepochs_per_iteration = 1\n"
+        "rollout_episodes = 1\neval_episodes = 1\ndirect_episodes = 2\n[sim]\nepisode_length = 120\n"
+    )
+    out = tmp_path / "out"
+    argv = ["sweep-alpha", "--config", str(cfg), "--alpha", "0.5,0.9", "--seeds", "1", "--out", str(out)]
+    assert main([*argv, "--quiet"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == "004e3929dbbde4178e726252ceca6d13eac59121a91cce1b42f5044816e196e7"
 
 def test_parallel_jobs_smoke(tiny_config, tmp_path):
     out = tmp_path / "out"

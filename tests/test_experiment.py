@@ -533,15 +533,20 @@ def test_static_alpha_must_be_nonnegative(alpha):
 
 
 def test_alpha_trace_replays_from_audit_log():
-    # dynamic alpha after iteration i equals the mean of that iteration's
-    # logged uncertainties, replayed from the emitted audit rows
+    # dynamic alpha after iteration i is exactly the mean of that iteration's
+    # logged uncertainties, replayed from the emitted audit rows, and it is
+    # the alpha the gate used in iteration i + 1 (+inf in iteration 1)
     cfg = tiny_cfg(pretrain_episodes=1, iterations=2, epochs_per_iteration=2)
     report = run_one(cfg)
     sr = report.per_seed[0]
     per_iter = cfg.epochs_per_iteration * cfg.steps_per_episode
+    assert len(sr.audit_rows) == cfg.iterations * per_iter
+    gate_alpha = math.inf
     for i, (_, alpha) in enumerate(sr.alpha_trace):
-        us = [r[4] for r in sr.audit_rows[i * per_iter : (i + 1) * per_iter]]
-        assert alpha == pytest.approx(np.mean(us), abs=1e-12)
+        rows = sr.audit_rows[i * per_iter : (i + 1) * per_iter]
+        assert [r[5] for r in rows] == [gate_alpha] * per_iter
+        assert alpha == float(np.mean([r[4] for r in rows]))
+        gate_alpha = alpha
 
 
 def test_repeated_run_reproduces_bitwise():

@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from ugatlab.dqn import Transition
 from ugatlab.grounding import (
     ForwardModel,
     GroundingConfig,
-    GroundingRate,
     InverseModel,
     UncertainAction,
     UntrainedModelError,
@@ -20,7 +18,6 @@ from ugatlab.grounding import (
     normalize_state,
     train_forward,
     train_inverse,
-    update_alpha,
 )
 from ugatlab.numnet import forward, softmax
 
@@ -84,41 +81,20 @@ def test_edl_uncertainty_rejects_negative():
 
 
 def test_gate_accepts_everything_at_infinite_alpha():
-    rate = GroundingRate()
-    assert rate.alpha == math.inf
-    executed, accepted = gate(3, UncertainAction(5, 0.99), rate)
+    executed, accepted = gate(3, UncertainAction(5, 0.99), math.inf)
     assert (executed, accepted) == (5, True)
-    assert rate.logged == [0.99]
 
 
 def test_gate_rejects_everything_at_zero_alpha():
-    rate = GroundingRate(alpha=0.0)
-    executed, accepted = gate(3, UncertainAction(5, 0.4), rate)
+    executed, accepted = gate(3, UncertainAction(5, 0.4), 0.0)
     assert (executed, accepted) == (3, False)
 
 
 def test_gate_rejects_on_equality():
-    rate = GroundingRate(alpha=0.4)
-    executed, accepted = gate(1, UncertainAction(6, 0.4), rate)
+    executed, accepted = gate(1, UncertainAction(6, 0.4), 0.4)
     assert (executed, accepted) == (1, False)
-    executed, accepted = gate(1, UncertainAction(6, 0.39999), rate)
+    executed, accepted = gate(1, UncertainAction(6, 0.39999), 0.4)
     assert (executed, accepted) == (6, True)
-    assert rate.logged == [0.4, 0.39999]
-
-
-def test_update_alpha_is_arithmetic_mean_then_clears():
-    rate = GroundingRate(alpha=math.inf, logged=[0.2, 0.4, 0.6])
-    assert update_alpha(rate) == pytest.approx(0.4, abs=1e-15)
-    assert rate.logged == []
-    rate.logged.extend([0.7] * 11)
-    assert update_alpha(rate) == pytest.approx(0.7, abs=1e-15)
-
-
-def test_update_alpha_empty_log_warns_and_keeps_alpha(caplog):
-    rate = GroundingRate(alpha=0.33)
-    with caplog.at_level(logging.WARNING):
-        assert update_alpha(rate) == 0.33
-    assert "empty" in caplog.text
 
 
 # --- heads ----------------------------------------------------------------------
