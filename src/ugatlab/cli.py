@@ -129,11 +129,12 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     if args.scenario is not None:
         exp["scenario"] = args.scenario
     if args.seeds is not None:
-        exp["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        try:
+            exp["seeds"] = _parse_value(args.seeds, tuple[int, ...])
+        except ValueError as exc:
+            raise ValidationFailure(f"bad value for --seeds: {exc}") from exc
     if getattr(args, "head", None) is not None:
         exp["head"] = args.head
-    if exp.get("static_alpha") is not None and algorithm == "ugat":
-        exp["algorithm"] = "ugat_static"
     return ExperimentConfig(**nested, out_dir=resolve_out_dir(args), **exp)
 
 

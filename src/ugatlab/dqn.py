@@ -203,8 +203,8 @@ class DqnAgent:
         return states * self._scale if self._scale is not None else states
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
-        out, _ = forward(self.q_model, self._featurize(np.asarray(state, dtype=np.float64)))
-        return out
+        out, _ = forward(self.q_model, self._featurize(np.asarray(state, dtype=np.float64))[None])
+        return out[0]
 
     def epsilon(self) -> float:
         c = self.config

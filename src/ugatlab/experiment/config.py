@@ -24,7 +24,7 @@ class ExperimentConfig:
     scenario: str = "V1"  # which variant plays the stand-in for reality
     algorithm: str = "ugat"
     head: str = "edl"
-    static_alpha: float | None = None  # required when algorithm == ugat_static
+    static_alpha: float | None = None  # required by ugat_static; turns ugat into ugat_static
     seeds: tuple[int, ...] = (1, 2, 3)
     pretrain_episodes: int = 100  # policy episodes before grounding starts
     iterations: int = 10  # grounding iterations
@@ -88,6 +88,9 @@ class ExperimentConfig:
             # replace(cfg, grounding=...) keeps it
             scale = (1.0 / self.grounding.count_scale,) * N_LANES + (1.0,) * N_PHASES
             object.__setattr__(self, "dqn", replace(self.dqn, state_scale=scale))
+        if self.algorithm == "ugat" and self.static_alpha is not None:
+            # a fixed rate is the static rule, whichever way the config was built
+            object.__setattr__(self, "algorithm", "ugat_static")
 
     @property
     def training_sim(self) -> SimConfig:

@@ -96,8 +96,8 @@ class ForwardModel:
     def predict_next_norm(self, state: np.ndarray, action: int) -> np.ndarray:
         s = normalize_state(state, self.config.count_scale)
         x = np.concatenate([s, np.eye(N_PHASES)[action]])
-        out, _ = forward(self.model, x)
-        return out
+        out, _ = forward(self.model, x[None])
+        return out[0]
 
 
 class InverseModel:
@@ -238,12 +238,12 @@ def _entropy_uncertainty(mean_probs: np.ndarray) -> float:
 def _dropout_probs(model: MlpModel, x: np.ndarray, passes: int, rng: np.random.Generator) -> np.ndarray:
     """Softmax of `passes` dropout forwards of the identity-output model on x.
 
-    One row per pass, bit for bit what `passes` calls of forward(model, x,
-    rng) give: the first layer sees no mask, so it runs once; every mask comes
-    from one draw in the stream order of the per-pass draws (none at rate 0);
-    and each later layer multiplies a (passes, 1, h) stack, which numpy does
-    one single-row product at a time, where a (passes, h) product would round
-    differently.
+    One row per pass, bit for bit what `passes` calls of forward(model,
+    x[None], rng) give: the first layer sees no mask, so it runs once; every
+    mask comes from one draw in the stream order of the per-pass draws (none
+    at rate 0); and each later layer multiplies a (passes, 1, h) stack, which
+    numpy does one single-row product at a time, where a (passes, h) product
+    would round differently.
     """
     p = model.spec.dropout_rate
     widths = model.spec.layer_sizes[1:-1]
@@ -270,7 +270,7 @@ def head_uncertainty(
     logs but never gates on).
     """
     if im.head == "edl":
-        evidence, _ = forward(im.members[0], x)
+        evidence = forward(im.members[0], x[None])[0][0]
         u, _beliefs = edl_uncertainty(evidence)
         return int(np.argmax(evidence)), u
     if im.head == "dropout":
@@ -278,7 +278,7 @@ def head_uncertainty(
             raise ValueError("dropout head needs an rng")
         probs = _dropout_probs(im.members[0], x, im.config.dropout_passes, rng)
     else:
-        probs = [softmax(forward(m, x)[0]) for m in im.members]
+        probs = [softmax(forward(m, x[None])[0][0]) for m in im.members]
     mean_p = np.mean(probs, axis=0)
     return int(np.argmax(mean_p)), _entropy_uncertainty(mean_p)
 

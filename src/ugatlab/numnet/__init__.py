@@ -1,7 +1,8 @@
 """Minimal dense numeric kernel: MLPs with exact backprop, losses, Adam.
 
-Matrices are 2-D float64 numpy arrays in C (row-major) order, vectors are
-1-D float64 arrays; batched calls stack samples along the first axis. An
+Matrices are 2-D float64 numpy arrays in C (row-major) order. forward(),
+backward() and the class losses take only (n, d) batches, one sample per
+row; a single sample is a one-row batch, ``x[None]``. An
 MlpModel copies the arrays it is given into one flat float64 vector,
 ``params``, and keeps per-layer weight and bias views into it. A gradient is
 one float64 vector with the same layout: backward() writes each layer's

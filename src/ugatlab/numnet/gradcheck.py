@@ -32,7 +32,8 @@ def gradcheck(
 ) -> GradCheckResult:
     """Compare backward() against central differences for every parameter.
 
-    loss_fn maps the network output to (scalar loss, d loss / d output).
+    x is an (n, d) batch, as forward() takes it. loss_fn maps the (n, k)
+    network output to (scalar loss, d loss / d output).
     Dropout is excluded (forwards without an rng) so both routes see the
     same deterministic function. A coordinate whose +step and -step forwards
     switch a different set of relus on (hidden layers, and a relu output) is
@@ -74,13 +75,14 @@ def gradcheck(
 def random_cases(rng: np.random.Generator, draws: int) -> Iterator[tuple[MlpModel, LossFn, np.ndarray]]:
     """Yield (model, loss_fn, x) for an mse, a cce and an edl case per draw.
 
-    Each draw takes from rng, in order: layer sizes, the input x, a class, a
-    target and an edl anneal weight; each case then initialises its model."""
+    Each draw takes from rng, in order: layer sizes, the input x as a one-row
+    batch, a class, a one-row mse target and an edl anneal weight; each case
+    then initialises its model."""
     for _ in range(draws):
         sizes = (int(rng.integers(3, 7)), int(rng.integers(4, 10)), int(rng.integers(2, 6)))
-        x = rng.normal(size=sizes[0])
+        x = rng.normal(size=(1, sizes[0]))
         t = int(rng.integers(sizes[-1]))
-        target = rng.normal(size=sizes[-1])
+        target = rng.normal(size=(1, sizes[-1]))
         anneal = float(rng.uniform(0.0, 1.0))
         for activation, loss in (
             ("identity", partial(mse_loss, target=target)),

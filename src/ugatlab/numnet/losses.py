@@ -1,8 +1,9 @@
 """Scalar losses with analytic gradients: MSE, categorical CE, evidential.
 
-Each loss accepts a single sample (1-D prediction) or a batch (2-D, one row
-per sample); batch losses are the mean over samples and gradients carry the
-1/n factor so they compose directly with backward().
+The class losses take an (n, k) batch, one row per sample, as forward()
+returns it; a single sample is a one-row batch. Each loss is the mean over
+its samples and its gradient carries the 1/n factor, so it composes
+directly with backward().
 
 ``scipy.special`` loads on the evidential loss's first call, not on import:
 only the edl head needs it, and importing it costs every other command about
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ugatlab.numnet.mlp import softmax
+from ugatlab.numnet.mlp import as_batch, softmax
 
 
 class EvidenceError(ValueError):
@@ -49,9 +50,7 @@ def _class_targets(target_class, n: int, k: int) -> np.ndarray:
 
 def cce_loss(logits: np.ndarray, target_class) -> tuple[float, np.ndarray]:
     """-log softmax(logits)[target]; grad = softmax - onehot (over logits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    z = logits[None, :] if single else logits
+    z = as_batch(logits, "logits")
     n, k = z.shape
     targets = _class_targets(target_class, n, k)
     rows = np.arange(n)
@@ -59,7 +58,7 @@ def cce_loss(logits: np.ndarray, target_class) -> tuple[float, np.ndarray]:
     grad = softmax(z)
     grad[rows, targets] -= 1.0
     grad /= n
-    return loss, grad[0] if single else grad
+    return loss, grad
 
 
 def edl_loss(evidence: np.ndarray, target_class, anneal: float = 1.0) -> tuple[float, np.ndarray]:
@@ -67,16 +66,14 @@ def edl_loss(evidence: np.ndarray, target_class, anneal: float = 1.0) -> tuple[f
 
     The KL term pushes evidence on non-target classes toward zero, i.e. the
     Dirichlet restricted to misleading evidence toward the uniform Dirichlet.
-    Gradient is with respect to the evidence vector (the relu output of the
-    evidential head).
+    Gradient is with respect to the (n, k) evidence batch (the relu output
+    of the evidential head).
     """
     from scipy.special import digamma, gammaln, polygamma
 
-    evidence = np.asarray(evidence, dtype=np.float64)
-    if np.any(evidence < 0.0):
+    ev = as_batch(evidence, "evidence")
+    if np.any(ev < 0.0):
         raise EvidenceError("evidence must be componentwise nonnegative")
-    single = evidence.ndim == 1
-    ev = evidence[None, :] if single else evidence
     n, k = ev.shape
     targets = _class_targets(target_class, n, k)
     rows = np.arange(n)
@@ -105,4 +102,4 @@ def edl_loss(evidence: np.ndarray, target_class, anneal: float = 1.0) -> tuple[f
 
     loss = float(loss_rows.mean())
     grad /= n
-    return loss, grad[0] if single else grad
+    return loss, grad

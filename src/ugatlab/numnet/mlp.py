@@ -98,7 +98,6 @@ class ForwardCache:
     inputs: list[np.ndarray]
     preact: np.ndarray
     dropout: bool
-    single: bool
 
 
 def init_model(spec: MlpSpec, rng: np.random.Generator) -> MlpModel:
@@ -115,6 +114,15 @@ def clone_model(model: MlpModel) -> MlpModel:
     return MlpModel(spec=model.spec, weights=model.weights, biases=model.biases)
 
 
+def as_batch(x, name: str, width: int | None = None) -> np.ndarray:
+    """x as a float64 (n, d) array, of d = width if given, or a ShapeError."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or width not in (None, a.shape[1]):
+        need = "" if width is None else f" with d = {width}"
+        raise ShapeError(f"{name} must be an (n, d) batch{need}, got shape {a.shape}")
+    return a
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction stabilization."""
     z = np.asarray(logits, dtype=np.float64)
@@ -126,7 +134,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def forward(
     model: MlpModel, x: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a vector or a (n, d) batch.
+    """Run the network on an (n, d) batch and return its (n, k) output.
+
+    A single sample is a one-row batch, ``x[None]``; row 0 of the output is
+    its result.
 
     Passing an rng switches inverted dropout on for the hidden activations
     (training, and MC-dropout style heads at inference); without one, or at
@@ -138,14 +149,7 @@ def forward(
     operations round once whatever array they write to, so the bytes are
     those of ``relu(a @ W.T + b)``; x itself is never written.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.ndim != 2 or a.shape[1] != model.spec.layer_sizes[0]:
-        raise ShapeError(
-            f"input width {a.shape[-1] if a.ndim else 0} != first layer size "
-            f"{model.spec.layer_sizes[0]}"
-        )
+    a = as_batch(x, "input", model.spec.layer_sizes[0])
     p = model.spec.dropout_rate
     use_dropout = p > 0.0 and rng is not None
 
@@ -162,27 +166,24 @@ def forward(
             a *= rng.random(a.shape) >= p
             a /= 1.0 - p
     out = np.maximum(z, 0.0) if model.spec.output_activation == "relu" else z
-    cache = ForwardCache(model=model, inputs=inputs, preact=z, dropout=use_dropout, single=single)
-    return (out[0] if single else out), cache
+    return out, ForwardCache(model=model, inputs=inputs, preact=z, dropout=use_dropout)
 
 
 def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
     """Exact gradients of a scalar loss given d(loss)/d(output).
 
-    For a batch, loss_grad must already carry any 1/n averaging; gradients
-    are summed over the batch axis. loss_grad is only read. The result is one
-    new float64 vector laid out like ``model.params``: each weight and bias
-    gradient is written into its split() view of it. A hidden unit's relu
-    mask is ``a > 0`` on its activation (the next layer's input), which
-    equals ``z > 0``; a unit that dropout dropped has a = 0, so the same mask
-    drops its gradient. The bytes are those of multiplying by the dropout
-    mask and then by ``z > 0``.
+    loss_grad is (n, k) like forward()'s output and must already carry any
+    1/n averaging; gradients are summed over the batch axis. loss_grad is
+    only read. The result is one new float64 vector laid out like
+    ``model.params``: each weight and bias gradient is written into its
+    split() view of it. A hidden unit's relu mask is ``a > 0`` on its
+    activation (the next layer's input), which equals ``z > 0``; a unit that
+    dropout dropped has a = 0, so the same mask drops its gradient. The bytes
+    are those of multiplying by the dropout mask and then by ``z > 0``.
     """
     if cache.model is not model:
         raise CacheError("cache was produced by a different model")
-    g = np.asarray(loss_grad, dtype=np.float64)
-    if cache.single:
-        g = g[None, :]
+    g = as_batch(loss_grad, "loss_grad")
     if g.shape != cache.preact.shape:
         raise CacheError(f"loss_grad shape {g.shape} != output shape {cache.preact.shape}")
 

@@ -156,7 +156,6 @@ class TrafficSim:
         check_tick(layout, params, config)
         self.layout = layout
         self.params = params
-        self.demand = demand
         self.config = config
         self._cruise_d = _cruise_distance(params, config.tick)
         self._ticks_per_decision = config.ticks_per_decision
@@ -174,7 +173,6 @@ class TrafficSim:
         """Empty network, phase 0, clock 0; returns the all-zero initial state."""
         self.tick_count = 0
         self.phase = 0
-        self.pending_phase: int | None = None
         self.lanes: list[list[Vehicle]] = [[] for _ in range(N_LANES)]
         # per closed lane: length of the front run pinned since the last tick,
         # and the min-gap violations between its members (constant while pinned)
@@ -211,8 +209,7 @@ class TrafficSim:
         state = np.zeros(STATE_DIM)
         for i, lane in enumerate(self.lanes):
             state[i] = len(lane)
-        display = self.pending_phase if self.pending_phase is not None else self.phase
-        state[N_LANES + display] = 1.0
+        state[N_LANES + self.phase] = 1.0
         return state
 
     def lane_queue_counts(self) -> tuple[int, ...]:
@@ -252,10 +249,8 @@ class TrafficSim:
         if not 0 <= action < N_PHASES:
             raise ActionError(f"phase index {action} outside 0..{N_PHASES - 1}")
         if action != self.phase:
-            self.pending_phase = action
             self._tick(ALL_RED, self._yellow_ticks)
             self.phase = action
-            self.pending_phase = None
             self._tick(PHASES[action], self._ticks_per_decision - self._yellow_ticks)
         else:
             self._tick(PHASES[action], self._ticks_per_decision)

@@ -3,6 +3,7 @@ import configparser
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -295,8 +296,12 @@ def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--cases", "3"]) == 0
     assert "max relative error" in capsys.readouterr().out
     # the defaults draw cases with dead hidden relus, whose kink coordinates are skipped
+    # and both counts move if random_cases' draws move; the error may differ between BLAS builds
     assert main(["gradcheck"]) == 0
-    assert "4 coordinates skipped at a relu kink" in capsys.readouterr().out
+    assert re.fullmatch(
+        r"gradcheck: 75 cases, max relative error \S+ < 0\.0001, 4 coordinates skipped at a relu kink\n",
+        capsys.readouterr().out,
+    )
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -375,6 +380,18 @@ def test_seed_override_via_flag(tiny_config, tmp_path):
     assert code == 0
     assert (out / "direct" / "V1" / "seed7").is_dir()
     assert (out / "direct" / "V1" / "seed8").is_dir()
+
+
+@pytest.mark.parametrize(
+    "seeds, reason",
+    [("1,,2", "empty item in '1,,2'"), ("1,x", "invalid literal for int() with base 10: 'x'")],
+)
+def test_a_malformed_seeds_flag_names_the_flag(seeds, reason, tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["train-direct", "--config", tiny_config, "--out", str(out), "--seeds", seeds, "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == f"ugatlab: error: config: bad value for --seeds: {reason}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds", ["-1", "1,1", "2,-1"])

@@ -141,6 +141,14 @@ def test_static_alpha_rejects_and_gat_accepts_unit_uncertainty():
     assert [a for _, a in result.alpha_trace] == [math.inf, math.inf]
 
 
+def test_a_static_rate_on_ugat_runs_the_static_rule():
+    cfg = ExperimentConfig(algorithm="ugat", static_alpha=0.5)
+    assert (cfg.algorithm, cfg.protocol_label) == ("ugat_static", "ugat_static_0.5")
+    result, _ = run_scripted(tiny_cfg(static_alpha=0.5), [0.25, 0.75] * 3)
+    assert all(r[5] == 0.5 for r in result.audit_rows)  # from iteration 1 on, not +inf
+    assert [bool(r[6]) for r in result.audit_rows] == [True, False] * 3
+
+
 def test_uncertainty_log_length_is_steps_times_epochs():
     cfg = tiny_cfg(iterations=3, epochs_per_iteration=2, steps_per_episode=4)
     result, grounder = run_scripted(cfg, [0.1] * (3 * 2 * 4))

@@ -106,8 +106,8 @@ def test_dropout_rate_zero_collapses_to_single_softmax_entropy():
     im.trained_epochs = 1
     x = np.random.default_rng(1).normal(size=40)
     a, u = head_uncertainty(im, x, np.random.default_rng(2))
-    logits, _ = forward(im.members[0], x)
-    p = softmax(logits)
+    logits, _ = forward(im.members[0], x[None])
+    p = softmax(logits[0])
     expected_u = float(-(p * np.log(p)).sum() / math.log(8))
     assert a == int(np.argmax(p))
     assert u == pytest.approx(expected_u, abs=1e-12)
@@ -139,8 +139,8 @@ def test_identical_ensemble_members_match_entropy_oracle():
             bd[:] = bs
     x = rng.normal(size=40)
     a, u = head_uncertainty(im, x)
-    logits, _ = forward(source, x)
-    p = softmax(logits)
+    logits, _ = forward(source, x[None])
+    p = softmax(logits[0])
     expected = -sum(pi * math.log(pi) for pi in p if pi > 0) / math.log(8)
     assert u == pytest.approx(expected, abs=1e-12)
     assert a == int(np.argmax(p))
@@ -155,8 +155,8 @@ def test_dropout_head_matches_scalar_mean_softmax_entropy():
     rng = np.random.default_rng(99)
     probs = []
     for _ in range(10):
-        out, _ = forward(im.members[0], x, rng)
-        probs.append(softmax(out))
+        out, _ = forward(im.members[0], x[None], rng)
+        probs.append(softmax(out[0]))
     mean_p = np.mean(probs, axis=0)
     expected = -sum(p * math.log(p) for p in mean_p if p > 0) / math.log(8)
     assert u == pytest.approx(expected, abs=1e-12)
@@ -166,13 +166,13 @@ def test_dropout_head_matches_scalar_mean_softmax_entropy():
 @pytest.mark.parametrize("passes, rate", [(2, 0.1), (10, 0.1), (400, 0.1), (10, 0.0)])
 def test_dropout_head_equals_per_pass_forwards_bit_for_bit(passes, rate):
     # the stacked passes must give the bytes, and leave the stream where, M
-    # single forward() calls do; a batched (M, h) product would not
+    # one-row forward() calls do; a batched (M, h) product would not
     cfg = GroundingConfig(dropout_passes=passes, dropout_rate=rate)
     im = InverseModel(cfg, "dropout", np.random.default_rng(3))
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     for x in np.random.default_rng(4).normal(size=(5, 40)):
         a, u = head_uncertainty(im, x, rng)
-        mean_p = np.mean([softmax(forward(im.members[0], x, ref_rng)[0]) for _ in range(passes)], axis=0)
+        mean_p = np.mean([softmax(forward(im.members[0], x[None], ref_rng)[0][0]) for _ in range(passes)], axis=0)
         assert a == int(np.argmax(mean_p))
         assert u == _entropy_uncertainty(mean_p)
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -27,14 +27,14 @@ def test_zero_weight_model_outputs_zero():
     model = make_model([3, 4, 2])
     for w in model.weights:
         w[:] = 0.0
-    out, _ = forward(model, np.array([1.0, -2.0, 3.0]))
-    assert np.all(out == 0.0)
+    out, _ = forward(model, np.array([[1.0, -2.0, 3.0]]))
+    assert out.shape == (1, 2) and np.all(out == 0.0)
 
 
 def test_identity_single_layer_passes_input_through():
     spec = MlpSpec(layer_sizes=(3, 3))
     model = MlpModel(spec=spec, weights=[np.eye(3)], biases=[np.zeros(3)])
-    x = np.array([0.5, -1.5, 2.0])
+    x = np.array([[0.5, -1.5, 2.0]])
     out, _ = forward(model, x)
     assert np.array_equal(out, x)
 
@@ -59,9 +59,9 @@ def scalar_forward(model, x):
 
 def test_forward_matches_scalar_trace_232():
     model = make_model([2, 3, 2], seed=7)
-    x = np.array([1.0, 1.0])
+    x = np.array([[1.0, 1.0]])
     out, _ = forward(model, x)
-    np.testing.assert_allclose(out, scalar_forward(model, x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out[0], scalar_forward(model, x[0]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("activation", ["softmax", "tanh"])
@@ -70,20 +70,31 @@ def test_spec_rejects_an_output_activation_other_than_identity_or_relu(activatio
         MlpSpec(layer_sizes=(3, 2), output_activation=activation)
 
 
-def test_forward_rejects_bad_input_width():
+@pytest.mark.parametrize("shape", [(1, 4), (3,)], ids=["bad_width", "vector"])
+def test_forward_rejects_anything_but_an_n_by_d_batch(shape):
     model = make_model([3, 2])
-    with pytest.raises(ShapeError):
-        forward(model, np.zeros(4))
+    with pytest.raises(ShapeError) as err:
+        forward(model, np.zeros(shape))
+    assert str(err.value) == f"input must be an (n, d) batch with d = 3, got shape {shape}"
+
+
+def test_backward_rejects_a_vector_loss_grad_naming_the_batch_shape():
+    model = make_model([3, 2])
+    _, cache = forward(model, np.zeros((1, 3)))
+    with pytest.raises(ShapeError, match=r"loss_grad must be an \(n, d\) batch, got shape \(2,\)"):
+        backward(model, cache, np.zeros(2))
 
 
 def test_batch_forward_matches_per_row():
-    # GEMM and GEMV accumulate in different orders; agreement is to rounding
+    # a one-row and a five-row product accumulate in different orders, so
+    # each row of the batch agrees with its one-row batch to rounding
     model = make_model([4, 6, 3], seed=1)
     xs = np.random.default_rng(2).normal(size=(5, 4))
     batch, _ = forward(model, xs)
     for i in range(5):
-        row, _ = forward(model, xs[i])
-        np.testing.assert_allclose(batch[i], row, rtol=1e-12, atol=1e-14)
+        row, _ = forward(model, xs[i : i + 1])
+        assert row.shape == (1, 3)
+        np.testing.assert_allclose(batch[i], row[0], rtol=1e-12, atol=1e-14)
 
 
 def test_dropout_train_mode_expectation_matches_infer():
@@ -95,15 +106,15 @@ def test_dropout_train_mode_expectation_matches_infer():
         biases=[np.array([0.5]), np.array([0.0])],
     )
     x = np.ones((100_000, 1))
-    infer, _ = forward(model, np.ones(1))
+    infer, _ = forward(model, np.ones((1, 1)))
     train, _ = forward(model, x, np.random.default_rng(11))
-    assert abs(train.mean() - infer[0]) / abs(infer[0]) < 0.01
+    assert abs(train.mean() - infer[0, 0]) / abs(infer[0, 0]) < 0.01
 
 
 def test_infer_mode_dropout_is_identity_unless_forced():
     spec = MlpSpec(layer_sizes=(2, 8, 2), dropout_rate=0.5)
     model = init_model(spec, np.random.default_rng(3))
-    x = np.array([1.0, -1.0])
+    x = np.array([[1.0, -1.0]])
     a, _ = forward(model, x)
     b, _ = forward(model, x)
     np.testing.assert_array_equal(a, b)
@@ -115,7 +126,7 @@ def test_infer_mode_dropout_is_identity_unless_forced():
 
 def test_backward_zero_loss_grad_gives_zero_gradients():
     model = make_model([3, 5, 2], seed=5)
-    out, cache = forward(model, np.array([1.0, 2.0, 3.0]))
+    out, cache = forward(model, np.array([[1.0, 2.0, 3.0]]))
     grad = backward(model, cache, np.zeros_like(out))
     assert grad.shape == model.params.shape and np.all(grad == 0.0)
 
@@ -123,7 +134,7 @@ def test_backward_zero_loss_grad_gives_zero_gradients():
 def test_backward_rejects_foreign_cache():
     a = make_model([3, 2], seed=0)
     b = make_model([3, 2], seed=1)
-    out, cache = forward(a, np.ones(3))
+    out, cache = forward(a, np.ones((1, 3)))
     with pytest.raises(CacheError):
         backward(b, cache, np.zeros_like(out))
 
@@ -131,14 +142,14 @@ def test_backward_rejects_foreign_cache():
 def test_linear_model_mse_gradient_closed_form():
     # single linear layer, MSE: dL/dW = 2 (y_hat - y) x^T / n
     model = make_model([3, 2], seed=9)
-    x = np.array([0.3, -1.2, 2.2])
-    y = np.array([1.0, -1.0])
+    x = np.array([[0.3, -1.2, 2.2]])
+    y = np.array([[1.0, -1.0]])
     out, cache = forward(model, x)
     loss, dloss = mse_loss(out, y)
     grads_w, grads_b = split(backward(model, cache, dloss), model.weights, model.biases)
-    expected_w = np.outer(2.0 * (out - y) / 2.0, x)
+    expected_w = np.outer(2.0 * (out[0] - y[0]) / 2.0, x[0])
     np.testing.assert_allclose(grads_w[0], expected_w, atol=1e-12)
-    np.testing.assert_allclose(grads_b[0], 2.0 * (out - y) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(grads_b[0], 2.0 * (out[0] - y[0]) / 2.0, atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
@@ -188,8 +199,7 @@ def reference_pass(model, x, loss_grad, rng=None):
     """Forward and backward in the allocating form: a new array for every bias
     add, relu, dropout and mask, each layer's pre-activation kept, and the
     gradients concatenated at the end. Returns (output, flat gradients)."""
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+    a = x
     p = model.spec.dropout_rate
     relu_out = model.spec.output_activation == "relu"
     inputs, preacts, masks = [], [], []
@@ -206,8 +216,7 @@ def reference_pass(model, x, loss_grad, rng=None):
             if keep is not None:
                 a = a * keep / (1.0 - p)
             masks.append(keep)
-    g = loss_grad[None, :] if single else loss_grad
-    delta = g * (preacts[-1] > 0.0) if relu_out else g
+    delta = loss_grad * (preacts[-1] > 0.0) if relu_out else loss_grad
     grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
     for l in range(last, -1, -1):
         grads_w[l] = delta.T @ inputs[l]
@@ -218,18 +227,18 @@ def reference_pass(model, x, loss_grad, rng=None):
                 da = da * masks[l - 1] / (1.0 - p)
             delta = da * (preacts[l - 1] > 0.0)
     flat = np.concatenate([g.ravel() for g in (*grads_w, *grads_b)])
-    return (a[0] if single else a), flat
+    return a, flat
 
 
-@pytest.mark.parametrize("rows", [None, 1, 64])  # None: a single vector
+@pytest.mark.parametrize("rows", [1, 64])
 @pytest.mark.parametrize("activation", ["identity", "relu"])
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_in_place_kernels_give_the_bytes_of_the_allocating_reference(rows, activation, dropout):
     rng = np.random.default_rng(17)
     for trial in range(20):
         model = make_model([20, 64, 64, 8], seed=trial, output_activation=activation, dropout_rate=dropout)
-        x = rng.normal(size=20 if rows is None else (rows, 20))
-        g = rng.normal(size=8 if rows is None else (rows, 8))
+        x = rng.normal(size=(rows, 20))
+        g = rng.normal(size=(rows, 8))
         g[rng.random(g.shape) < 0.5] = 0.0  # sparse, like the TD step's scattered gradient
         x_bytes, g_bytes = x.tobytes(), g.tobytes()
         seed = int(rng.integers(2**32))

@@ -303,8 +303,9 @@ def test_settled_pair_inside_min_gap_logs_one_entry_per_tick():
 
 
 def run_fixed_cycle_episode(params_name, before_tick=None, demand_seed=3):
-    # with a before_tick hook, every n-tick segment runs as n single ticks with
-    # the hook before each, so a per-tick check sees every tick
+    # with a before_tick(sim, permitted) hook, every n-tick segment runs as n
+    # single ticks with the hook before each, so a per-tick check sees every
+    # tick and the movements it permits
     demand = generate_demand(2600, 3600, seed=demand_seed)
     sim = make_sim(params_name, demand=demand)
     if before_tick is not None:
@@ -312,7 +313,7 @@ def run_fixed_cycle_episode(params_name, before_tick=None, demand_seed=3):
 
         def split(permitted, n):
             for _ in range(n):
-                before_tick(sim)
+                before_tick(sim, permitted)
                 tick(permitted, 1)
 
         sim._tick = split
@@ -325,7 +326,7 @@ def run_fixed_cycle_episode(params_name, before_tick=None, demand_seed=3):
 @pytest.mark.parametrize("params_name", ["Default", "V1", "V4"])
 def test_single_tick_segments_match_the_segment_loop(params_name):
     ticks = []
-    split = run_fixed_cycle_episode(params_name, lambda sim: ticks.append(sim.tick_count))
+    split = run_fixed_cycle_episode(params_name, lambda sim, _: ticks.append(sim.tick_count))
     whole = run_fixed_cycle_episode(params_name)
     assert ticks == list(range(whole.tick_count))  # the hook saw every tick once
     assert split.state_signature() == whole.state_signature()
@@ -334,7 +335,7 @@ def test_single_tick_segments_match_the_segment_loop(params_name):
     assert split.gap_violations == whole.gap_violations
 
 
-def forget_settled(sim):
+def forget_settled(sim, _permitted):
     sim._settled = [0] * len(sim.lanes)
     sim._settled_gaps = [[] for _ in sim.lanes]
 
@@ -342,7 +343,7 @@ def forget_settled(sim):
 @pytest.mark.parametrize("params_name", ["V1", "V4"])
 def test_settled_queue_skip_matches_full_reintegration(params_name):
     settled_seen = []
-    fast = run_fixed_cycle_episode(params_name, lambda sim: settled_seen.append(sum(sim._settled)))
+    fast = run_fixed_cycle_episode(params_name, lambda sim, _: settled_seen.append(sum(sim._settled)))
     full = run_fixed_cycle_episode(params_name, forget_settled)
     assert max(settled_seen) > 0  # the skip did run
     assert fast.state_signature() == full.state_signature()
@@ -354,13 +355,13 @@ def test_settled_queue_skip_matches_full_reintegration(params_name):
 def test_pinned_follower_of_a_moving_leader_is_not_skipped():
     # only a run of pinned vehicles starting at the lane front is a fixed point
     signatures = []
-    for before_tick in (lambda sim: None, forget_settled):
+    for before_tick in (lambda sim, _: None, forget_settled):
         sim = make_sim("V1")
         lane = movement_index("E", "through")  # red under phase 0
         put_vehicle(sim, lane, 250.0, 0.0, vid=0)
         put_vehicle(sim, lane, 243.5, 0.0, vid=1)  # pinned behind the leader's first metre
         for _ in range(30):
-            before_tick(sim)
+            before_tick(sim, PHASES[0])
             sim._tick(PHASES[0], 1)
         signatures.append(sim.state_signature())
     assert signatures[0] == signatures[1]
@@ -380,7 +381,7 @@ def test_every_red_stop_line_crossing_was_unavoidable(params_name, demand_seed):
             braking = v * v / (2.0 * sim.params.emergency_decel)
             crossings.append((braking, sim.layout.lane_length - pos))
 
-    def before_tick(sim):
+    def before_tick(sim, _permitted):
         record_new_crossings(sim)
         start.clear()
         start.update((veh.vid, (veh.pos, veh.speed)) for lane in sim.lanes for veh in lane)
@@ -415,15 +416,14 @@ def test_default_and_v1_fixed_cycle_episode_signatures_are_pinned(params_name, e
 # --- cruise path and spawn skip -------------------------------------------------
 
 
-def braking_rule_everywhere(sim):
+def braking_rule_everywhere(sim, _permitted):
     # only an unobstructed vehicle (d == inf) cruises, as before the cruise path
     sim._cruise_d = math.inf
 
 
-def closed_lane_leaders_beyond_cruise_d(sim):
+def closed_lane_leaders_beyond_cruise_d(sim, permitted):
     # lane leaders about to be updated under a red signal whose finite stop
     # distance reaches cruise_d and that are not waiting out a startup delay
-    permitted = ALL_RED if sim.pending_phase is not None else PHASES[sim.phase]
     return sum(
         1
         for lane_idx, lane in enumerate(sim.lanes)
@@ -438,7 +438,7 @@ def closed_lane_leaders_beyond_cruise_d(sim):
 def test_cruise_path_matches_the_full_braking_rule(params_name):
     cruisers = []
     fast = run_fixed_cycle_episode(
-        params_name, lambda sim: cruisers.append(closed_lane_leaders_beyond_cruise_d(sim))
+        params_name, lambda sim, permitted: cruisers.append(closed_lane_leaders_beyond_cruise_d(sim, permitted))
     )
     full = run_fixed_cycle_episode(params_name, braking_rule_everywhere)
     assert sum(cruisers) > 0  # the cruise path ran on finite stop distances
@@ -459,7 +459,7 @@ def test_cruise_distance_bounds_hold_in_floats(params_name):
     assert p.max_speed * p.max_speed / (2.0 * d) <= p.decel
 
 
-def full_scan_spawn(sim):
+def full_scan_spawn(sim, _permitted):
     # the reference spawn: every tick visits all 12 lanes and spawns the due
     # arrival of each lane whose entry has room; the engine's heap is emptied
     # first, so the engine itself spawns nothing
@@ -481,7 +481,7 @@ def full_scan_spawn(sim):
 def test_spawn_skip_matches_a_full_scan(params_name):
     idle = []
     fast = run_fixed_cycle_episode(
-        params_name, lambda sim: idle.append(not sim._due or sim.time < sim._due[0][0])
+        params_name, lambda sim, _: idle.append(not sim._due or sim.time < sim._due[0][0])
     )
     full = run_fixed_cycle_episode(params_name, full_scan_spawn)
     assert any(idle) and not all(idle)  # the heap both skipped and spawned
@@ -496,11 +496,11 @@ def test_blocked_entry_keeps_the_spawn_scan_running():
     n_left, s_through = movement_index("N", "left"), movement_index("S", "through")
     demand = DemandSchedule(arrivals=((0.0, n_left), (50.0, s_through)))
     sims = []
-    for before_tick in (lambda sim: None, full_scan_spawn):
+    for before_tick in (lambda sim, _: None, full_scan_spawn):
         sim = make_sim("Default", demand=demand)
         put_vehicle(sim, n_left, 2.0, 0.0)  # inside the entry clearance
         for _ in range(60):
-            before_tick(sim)
+            before_tick(sim, PHASES[0])
             sim._tick(PHASES[0], 1)
         sims.append(sim)
     fast, full = sims
