@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +20,11 @@ from ugatlab.numnet import (
     init_adam,
     init_model,
     mse_loss,
+    workspace,
 )
+
+# ReplayBuffer's columns, in take()'s order
+STATES, ACTIONS, REWARDS, NEXT_STATES, LIVE = range(5)
 
 
 @dataclass(frozen=True)
@@ -130,9 +135,9 @@ class ReplayBuffer:
         """n distinct filled slots, drawn with the buffer's own seeded rng."""
         return self._rng.choice(len(self), size=n, replace=False)
 
-    def take(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(states, actions, rewards, next_states, live) of slots idx."""
-        return tuple(a.take(idx, axis=0) for a in self._arrays)
+    def take(self, idx: np.ndarray, columns: Sequence[int] = range(5)) -> tuple[np.ndarray, ...]:
+        """The columns of slots idx, by default all of (states, actions, rewards, next_states, live)."""
+        return tuple(self._arrays[k].take(idx, axis=0) for k in columns)
 
     def sample(self, n: int) -> tuple[np.ndarray, ...]:
         """take() of n distinct slots."""
@@ -154,7 +159,7 @@ class ReplayBuffer:
             self._values_for = version
         if not self._fresh[idx].all():
             n = len(idx)
-            next_states = self._arrays[3]
+            next_states = self._arrays[NEXT_STATES]
             stale = np.flatnonzero(~self._fresh[: self._size])
             for lo in range(0, len(stale), n):
                 slots = stale[lo : lo + n]
@@ -229,15 +234,24 @@ class DqnAgent:
         change through sync_target() alone: a direct write to its parameters
         after the first learn() would leave the old values in use. (The
         tests that pin the target's outputs write them before learning.)
+
+        The passes through both networks write into the workspace their
+        architecture shares at the batch height, and the TD targets are
+        combined in place in the live column take() returns; each in-place
+        operation rounds like its allocating form, so the bytes are the same.
         """
         c = self.config
         if len(buffer) < c.batch_size:
             return None
         idx = buffer.draw(c.batch_size)
-        states, actions, rewards, _, live = buffer.take(idx)
-        targets = rewards + c.gamma * live * buffer.next_values(idx, self._target_version, self._target_max)
+        states, actions, rewards, live = buffer.take(idx, (STATES, ACTIONS, REWARDS, LIVE))
+        # rewards + gamma * live * max_a' Q_target(s'), in place in live
+        targets = np.multiply(live, c.gamma, out=live)
+        targets *= buffer.next_values(idx, self._target_version, self._target_max)
+        targets += rewards
 
-        q_all, cache = forward(self.q_model, self._featurize(states))
+        work = workspace(self.q_model.spec.layer_sizes, c.batch_size)
+        q_all, cache = forward(self.q_model, self._featurize(states), work=work)
         rows, grad_out = self._td_work
         loss, dpred = mse_loss(q_all[rows, actions], targets)
         # grad_out is all zeros between learns: scatter, backprop, zero again
@@ -255,7 +269,8 @@ class DqnAgent:
         return np.arange(c.batch_size), np.zeros((c.batch_size, c.n_actions))
 
     def _target_max(self, next_states: np.ndarray) -> np.ndarray:
-        next_q, _ = forward(self.target_model, self._featurize(next_states))
+        work = workspace(self.target_model.spec.layer_sizes, len(next_states))
+        next_q, _ = forward(self.target_model, self._featurize(next_states), work=work)
         return next_q.max(axis=1)
 
     def sync_target(self) -> None:

@@ -30,6 +30,7 @@ from ugatlab.numnet import (
     init_model,
     mse_loss,
     softmax,
+    workspace,
 )
 from ugatlab.sim import N_LANES, N_PHASES, STATE_DIM
 
@@ -149,7 +150,9 @@ def _dataset(transitions: Sequence[Transition], count_scale: float):
 def _train(owner, members, adams, x, y, loss_fn, epochs, batch, rng, dropout=False) -> list[float]:
     """Minibatch Adam for every member on the same shuffled minibatches.
 
-    loss_fn(out, targets, lifetime_epoch) gives (loss, d loss / d out). Each
+    loss_fn(out, targets, lifetime_epoch) gives (loss, d loss / d out) and
+    keeps no reference to out, which a full minibatch's pass writes into the
+    workspace its architecture shares at that height. Each
     epoch draws the permutation first and then, with dropout, one mask seed
     per member; returns the per-epoch mean of the member-averaged batch loss.
     """
@@ -161,8 +164,11 @@ def _train(owner, members, adams, x, y, loss_fn, epochs, batch, rng, dropout=Fal
         for idx in batches:
             xb, yb = x[idx], y[idx]
             batch_losses = []
+            # a shorter last minibatch allocates: its height changes with the
+            # dataset, and keeping a workspace per height only adds memory
+            work = workspace(members[0].spec.layer_sizes, batch) if len(idx) == batch else None
             for member, adam, drop_rng in zip(members, adams, drop_rngs):
-                out, cache = forward(member, xb, drop_rng)
+                out, cache = forward(member, xb, drop_rng, work=work)
                 loss, grad = loss_fn(out, yb, owner.trained_epochs)
                 adam_step(member, backward(member, cache, grad), adam)
                 batch_losses.append(loss)

@@ -6,9 +6,13 @@ row; a single sample is a one-row batch, ``x[None]``. An
 MlpModel copies the arrays it is given into one flat float64 vector,
 ``params``, and keeps per-layer weight and bias views into it. A gradient is
 one float64 vector with the same layout: backward() writes each layer's
-gradient into its view of a new one, and adam_step() reads it as it is.
-forward() and backward() work in place in the arrays they allocate, with
-the bytes of the allocating form.
+gradient into its view of one, and adam_step() reads it as it is.
+forward() and backward() work in place in the arrays they allocate, or, on
+request, in a Workspace: arrays for one architecture and batch height that
+workspace() keeps and every model of that architecture shares, so a
+training step allocates no layer product, delta or gradient. Either way the
+bytes are those of the allocating form. adam_step() also works in place,
+and sets its subnormal moment entries to 0 every 500 steps.
 """
 
 from ugatlab.numnet.mlp import (
@@ -22,6 +26,7 @@ from ugatlab.numnet.mlp import (
     forward,
     init_model,
     softmax,
+    workspace,
 )
 from ugatlab.numnet.losses import EvidenceError, cce_loss, edl_loss, mse_loss
 from ugatlab.numnet.adam import AdamState, adam_step, init_adam
@@ -48,4 +53,5 @@ __all__ = [
     "mse_loss",
     "random_cases",
     "softmax",
+    "workspace",
 ]

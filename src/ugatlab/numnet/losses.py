@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ugatlab.numnet.mlp import as_batch, softmax
+from ugatlab.numnet.mlp import as_batch, as_float64, softmax
 
 
 class EvidenceError(ValueError):
@@ -22,15 +22,20 @@ class EvidenceError(ValueError):
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean of squared componentwise differences; grad = 2(pred-target)/n."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    """Mean of squared componentwise differences; grad = 2(pred-target)/n.
+
+    The gradient is computed in place in the new difference array, with the
+    bytes of the allocating form.
+    """
+    pred, target = as_float64(pred), as_float64(target)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
     n = diff.size
-    loss = float(np.sum(diff * diff) / n)
-    return loss, 2.0 * diff / n
+    loss = float(np.add.reduce(diff * diff, axis=None) / n)
+    diff *= 2.0
+    diff /= n
+    return loss, diff
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

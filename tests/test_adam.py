@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ugatlab.numnet import MlpSpec, ShapeError, adam_step, backward, forward, init_adam, init_model
+from ugatlab.numnet.adam import FLUSH_PERIOD
 from ugatlab.numnet.mlp import flatten, split
 
 
@@ -17,7 +18,7 @@ def zero_grads(model):
 
 def layers(model, grad):
     # grad's per-layer views, weights then biases, as split() lays them out
-    grads_w, grads_b = split(grad, model.weights, model.biases)
+    grads_w, grads_b = split(grad, model.spec.layer_sizes)
     return [*grads_w, *grads_b]
 
 
@@ -166,3 +167,36 @@ def test_adam_step_gives_the_bytes_of_the_allocating_reference(rows):
         assert grad.tobytes() == flat
         assert model.params.tobytes() == params.tobytes()
         assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+def test_subnormal_moments_are_flushed_without_moving_the_params():
+    # Some gradient entries turn exactly 0 at step 100, as a dead relu
+    # unit's do: "dead" ones for good, "revived" ones until step 7000, and
+    # "faint" ones (about 1e-152 before) for good. The textbook form's m then
+    # decays into the subnormal range, and the faint entries' v too; the
+    # flushed moments end normal or 0, and the params keep the textbook bytes.
+    model = init_model(MlpSpec(layer_sizes=(4, 6, 3)), np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    state = init_adam(model)
+    params, m, v = model.params.copy(), state.m.copy(), state.v.copy()
+    group = np.arange(model.params.size) % 4
+    dead, revived, faint = group == 1, group == 2, group == 3
+    steps = 16 * FLUSH_PERIOD
+    for step in range(1, steps + 1):
+        grad = rng.normal(size=model.params.size)
+        grad[faint] *= 1e-152
+        if step >= 100:
+            grad[dead | faint] = 0.0
+        if 100 <= step < 7000:
+            grad[revived] = 0.0
+        params, m, v = reference_adam(params, m, v, step, grad)
+        adam_step(model, grad, state)
+        assert model.params.tobytes() == params.tobytes()
+
+    def subnormal(a):
+        return (a != 0.0) & (np.abs(a) < np.finfo(np.float64).tiny)
+
+    assert subnormal(m[dead]).all() and subnormal(m[faint]).all() and subnormal(v[faint]).all()
+    assert not subnormal(state.m).any() and not subnormal(state.v).any()
+    assert state.m[revived].tobytes() == m[revived].tobytes()
+    assert state.v[revived].tobytes() == v[revived].tobytes()

@@ -215,6 +215,22 @@ def test_learn_returns_none_until_buffer_is_warm():
     assert agent.learn(buf) is None
 
 
+def test_q_values_are_fresh_arrays_that_learn_leaves_alone():
+    # learn() writes into the workspace shared by its architecture; what
+    # q_values() returns is the caller's and aliases nothing
+    agent = make_agent(batch_size=4, replay_capacity=16, seed=7)
+    buf = ReplayBuffer(capacity=16, rng=np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    first, second = agent.q_values(np.ones(4)), agent.q_values(np.zeros(4))
+    assert not np.shares_memory(first, second)
+    kept = first.tobytes(), second.tobytes()
+    for _ in range(8):
+        buf.push(tr(rng.normal(size=4), int(rng.integers(8)), rng.normal(), rng.normal(size=4)))
+        agent.learn(buf)
+    assert agent.learn_steps == 5
+    assert (first.tobytes(), second.tobytes()) == kept
+
+
 def test_td_target_uses_frozen_target_network_only():
     # with zeroed final weights Q == bias, so the loss is exactly
     # (b_online[a] - y)^2 with y = r + gamma max(b_target)
@@ -333,10 +349,10 @@ def test_cached_target_values_learn_like_the_per_sample_reference(copier, monkey
     (agent, buf), (ref_agent, ref_buf) = start(), start()
     heights = []  # rows of each target-network forward learn() makes
 
-    def counting_forward(model, x, rng=None):
+    def counting_forward(model, x, rng=None, **kwargs):
         if model is agent.target_model:
             heights.append(len(x))
-        return forward(model, x, rng)
+        return forward(model, x, rng, **kwargs)
 
     monkeypatch.setattr(dqn, "forward", counting_forward)
     data = np.random.default_rng(33)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -274,6 +275,34 @@ def test_train_forward_loss_trace_nonincreasing_within_jitter():
     trace = train_forward(fm, data, epochs=30, batch=32, rng=rng)
     for prev, cur in zip(trace, trace[1:]):
         assert cur <= prev * 1.05
+
+
+@pytest.mark.parametrize("head", ["edl", "dropout", "ensemble"])
+def test_training_continues_from_a_deepcopy_like_the_original(head):
+    # the original and a deepcopy continue epoch by epoch in turn, through
+    # the workspaces every model of their architecture shares, and both
+    # end with the bytes of a copy that ran its epochs in one call; 100
+    # transitions make three full minibatches of 32 and one of 4
+    data = random_transitions(100, np.random.default_rng(41))
+    fm, im = ForwardModel(CFG, np.random.default_rng(42)), InverseModel(CFG, head, np.random.default_rng(43))
+    train_forward(fm, data, 2, 32, np.random.default_rng(44))
+    train_inverse(im, data, 2, 32, np.random.default_rng(45))
+    pairs = [(fm, im), copy.deepcopy((fm, im)), copy.deepcopy((fm, im))]
+    rngs = [(np.random.default_rng(46), np.random.default_rng(47)) for _ in pairs]
+    traces = [([], []) for _ in pairs]
+    for _ in range(3):
+        for (f, i), (rf, ri), (tf, ti) in zip(pairs[:2], rngs, traces):
+            tf += train_forward(f, data, 1, 32, rf)
+            ti += train_inverse(i, data, 1, 32, ri)
+    (f, i), (rf, ri) = pairs[2], rngs[2]
+    traces[2] = (train_forward(f, data, 3, 32, rf), train_inverse(i, data, 3, 32, ri))
+    assert traces[0] == traces[1] == traces[2]
+    for f, i in pairs[1:]:
+        for model, want in zip((f.model, *i.members), (fm.model, *im.members)):
+            assert model.params.tobytes() == want.params.tobytes()
+            assert not np.shares_memory(model.params, want.params)
+        for adam, want in zip((f.adam, *i.adams), (fm.adam, *im.adams)):
+            assert (adam.m.tobytes(), adam.v.tobytes()) == (want.m.tobytes(), want.v.tobytes())
 
 
 def test_train_forward_empty_dataset_raises():

@@ -14,6 +14,7 @@ from ugatlab.numnet import (
     init_model,
     mse_loss,
     softmax,
+    workspace,
 )
 from ugatlab.numnet.mlp import split
 
@@ -146,7 +147,7 @@ def test_linear_model_mse_gradient_closed_form():
     y = np.array([[1.0, -1.0]])
     out, cache = forward(model, x)
     loss, dloss = mse_loss(out, y)
-    grads_w, grads_b = split(backward(model, cache, dloss), model.weights, model.biases)
+    grads_w, grads_b = split(backward(model, cache, dloss), model.spec.layer_sizes)
     expected_w = np.outer(2.0 * (out[0] - y[0]) / 2.0, x[0])
     np.testing.assert_allclose(grads_w[0], expected_w, atol=1e-12)
     np.testing.assert_allclose(grads_b[0], 2.0 * (out[0] - y[0]) / 2.0, atol=1e-12)
@@ -243,8 +244,32 @@ def test_in_place_kernels_give_the_bytes_of_the_allocating_reference(rows, activ
         x_bytes, g_bytes = x.tobytes(), g.tobytes()
         seed = int(rng.integers(2**32))
         want_out, want_flat = reference_pass(model, x, g, np.random.default_rng(seed))
-        out, cache = forward(model, x, np.random.default_rng(seed))
-        grad = backward(model, cache, g)
-        assert out.tobytes() == want_out.tobytes()
-        assert grad.tobytes() == want_flat.tobytes()
-        assert x.tobytes() == x_bytes and g.tobytes() == g_bytes  # inputs are only read
+        for work in (None, workspace(model.spec.layer_sizes, rows)):
+            out, cache = forward(model, x, np.random.default_rng(seed), work=work)
+            assert out.tobytes() == want_out.tobytes()
+            grad = backward(model, cache, g)
+            assert grad.tobytes() == want_flat.tobytes()
+            assert (grad is work.grad) if work is not None else not np.shares_memory(grad, model.params)
+            assert x.tobytes() == x_bytes and g.tobytes() == g_bytes  # inputs are only read
+
+
+def test_workspace_is_one_per_architecture_and_height():
+    assert workspace((3, 4, 2), 5) is workspace((3, 4, 2), 5)
+    assert workspace((3, 4, 2), 5) is not workspace((3, 4, 2), 6)
+    with pytest.raises(ShapeError, match="workspace for 6 rows"):
+        forward(make_model([3, 4, 2]), np.ones((5, 3)), work=workspace((3, 4, 2), 6))
+    with pytest.raises(ShapeError, match="workspace for 5 rows of \\(3, 4, 2\\)"):
+        forward(make_model([3, 5, 2]), np.ones((5, 3)), work=workspace((3, 4, 2), 5))
+
+
+def test_backward_refuses_a_cache_whose_workspace_a_later_forward_reused():
+    model, other = make_model([3, 4, 2], seed=2), make_model([3, 4, 2], seed=4)
+    x = np.random.default_rng(3).normal(size=(5, 3))
+    g = np.ones((5, 2))
+    work = workspace(model.spec.layer_sizes, 5)
+    _, stale = forward(model, x, work=work)
+    forward(other, x, work=work)  # every model of the architecture shares it
+    with pytest.raises(CacheError, match="a later forward\\(\\) overwrote the workspace"):
+        backward(model, stale, g)
+    _, cache = forward(model, x, work=work)
+    assert backward(model, cache, g).tobytes() == backward(model, forward(model, x)[1], g).tobytes()
