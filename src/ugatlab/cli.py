@@ -121,6 +121,14 @@ def resolve_out_dir(args) -> str:
     return out
 
 
+def _parse_flag(flag: str, raw: str, ftype):
+    """_parse_value for a command-line flag, failing as a bad value for that flag."""
+    try:
+        return _parse_value(raw, ftype)
+    except ValueError as exc:
+        raise ValidationFailure(f"bad value for {flag}: {exc}") from exc
+
+
 def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     overrides = load_config_file(args.config) if args.config is not None else {}
     nested = {name: _SECTIONS[name](**overrides.get(name, {})) for name in ("grounding", "dqn", "sim")}
@@ -129,10 +137,7 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
     if args.scenario is not None:
         exp["scenario"] = args.scenario
     if args.seeds is not None:
-        try:
-            exp["seeds"] = _parse_value(args.seeds, tuple[int, ...])
-        except ValueError as exc:
-            raise ValidationFailure(f"bad value for --seeds: {exc}") from exc
+        exp["seeds"] = _parse_flag("--seeds", args.seeds, tuple[int, ...])
     if getattr(args, "head", None) is not None:
         exp["head"] = args.head
     return ExperimentConfig(**nested, out_dir=resolve_out_dir(args), **exp)
@@ -143,11 +148,11 @@ def build_experiment_config(args, algorithm: str) -> ExperimentConfig:
 
 def _train_one(cfg: ExperimentConfig, args):
     """One arm: train-direct, or train-ugat at the dynamic rate or at one --alpha."""
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        if "," in alpha:
-            raise ValidationFailure(f"train-ugat --alpha takes one rate, got {alpha!r}")
-        cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=float(alpha))
+    if getattr(args, "alpha", None) is not None:
+        rates = _parse_flag("--alpha", args.alpha, tuple[float, ...])
+        if len(rates) != 1:
+            raise ValidationFailure(f"train-ugat --alpha takes one rate, got {args.alpha!r}")
+        cfg = dataclasses.replace(cfg, algorithm="ugat_static", static_alpha=rates[0])
     return run_arms([(cfg.protocol_label, cfg)])
 
 
@@ -156,7 +161,7 @@ def _ablate(cfg: ExperimentConfig, args):
 
 
 def _sweep(cfg: ExperimentConfig, args):
-    alphas = tuple(float(v) for v in args.alpha.split(",")) if args.alpha is not None else DEFAULT_ALPHAS
+    alphas = DEFAULT_ALPHAS if args.alpha is None else _parse_flag("--alpha", args.alpha, tuple[float, ...])
     return sweep_static_alpha(cfg, alphas, args.jobs)
 
 

@@ -256,7 +256,7 @@ class DqnAgent:
         loss, dpred = mse_loss(q_all[rows, actions], targets)
         # grad_out is all zeros between learns: scatter, backprop, zero again
         grad_out[rows, actions] = dpred
-        grad = backward(self.q_model, cache, grad_out)
+        grad = backward(cache, grad_out)
         grad_out[rows, actions] = 0.0
         adam_step(self.q_model, grad, self.adam)
         self.learn_steps += 1

@@ -24,10 +24,10 @@ Layout under the output root:
                              delta_mean,delta_std,seeds
     summary.txt              side-by-side table of real(gap) +/- std
 
-protocols.run_arms is the one writer of a protocol run. Its worker processes
-only compute, one (arm, seed) task each; it writes demands/ first, then each
-arm's seed directories in arm and seed order, so the tree is the same for any
---jobs.
+protocols.run_arms writes demands/ and then each arm's seed directories in
+arm and seed order, its worker processes only computing, one (arm, seed)
+task each, so the tree is the same for any --jobs; cli.cmd_protocol then
+writes gap_report.csv and summary.txt.
 
 Every command writes gap_report.csv in this one schema: the MetricStats
 fields sit between metric and seeds. gap-report reads each metrics.csv back
@@ -179,11 +179,11 @@ def seed_dir(out_dir: str | Path, protocol: str, scenario: str, seed: int) -> Pa
     return Path(out_dir) / protocol / scenario / f"seed{seed}"
 
 
-def write_manifest(path: Path, cfg: ExperimentConfig, protocol: str, seed: int) -> None:
+def write_manifest(path: Path, cfg: ExperimentConfig, seed: int) -> None:
     lines = [
         "[run]",
         f"format_version = {FORMAT_VERSION}",
-        f"protocol = {protocol}",
+        f"protocol = {cfg.protocol_label}",
         f"scenario = {cfg.scenario}",
         f"seed = {seed}",
     ]
@@ -209,10 +209,10 @@ def write_demands(
         save_demand(d, demand_dir / f"eval{i}.csv")
 
 
-def write_seed_run(cfg: ExperimentConfig, protocol: str, result: SeedResult) -> Path:
-    run = seed_dir(cfg.out_dir, protocol, cfg.scenario, result.seed)
+def write_seed_run(cfg: ExperimentConfig, result: SeedResult) -> Path:
+    run = seed_dir(cfg.out_dir, cfg.protocol_label, cfg.scenario, result.seed)
     run.mkdir(parents=True, exist_ok=True)
-    write_manifest(run / "manifest.txt", cfg, protocol, result.seed)
+    write_manifest(run / "manifest.txt", cfg, result.seed)
 
     _write_csv(
         run / "training_curve.csv",

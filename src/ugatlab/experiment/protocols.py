@@ -84,6 +84,7 @@ def evaluate(
 
 
 Schedules = tuple[DemandSchedule, list[DemandSchedule]]
+Rollouts = tuple[list[Transition], list[Transition]]  # one grounding iteration's (sim, real)
 
 
 def _demands(cfg: ExperimentConfig) -> Schedules:
@@ -127,18 +128,13 @@ def _seed_result(cfg, seed, state: PolicyState, eval_demands, audit_rows=None, a
 class PolicyState:
     """A seed's policy in training: its streams, agent, replay buffer and curve.
 
-    first_rollouts, when set, holds the grounded loop's iteration-1 (d_sim,
-    d_real), collected ahead by run_arms; the rollout stream then stands
-    after them. A copy (copy.deepcopy, or pickling to a worker) shares
-    nothing with the original, so each arm can continue its own copy of one
-    seed's start.
-    """
+    A copy (copy.deepcopy, or pickling to a worker) shares nothing with the
+    original, so each arm can continue its own copy of one seed's start."""
 
     streams: dict[str, np.random.Generator]
     agent: DqnAgent
     buffer: ReplayBuffer
     curve: list[EpisodeRecord] = field(default_factory=list)
-    first_rollouts: tuple[list[Transition], list[Transition]] | None = None
 
     def train(self, env_factory, episodes: int, step_hook=None) -> None:
         """train_policy on this state; the curve numbers its episodes on from the last."""
@@ -194,19 +190,16 @@ class Grounder:
         self.inverse_model = InverseModel(cfg.grounding, cfg.head, init_rng)
 
     def fit(self, d_real: Sequence[Transition], d_sim: Sequence[Transition], rng: np.random.Generator):
-        g = self.cfg.grounding
-        self.forward_model = ForwardModel(g, self._init_rng)
-        self.inverse_model = InverseModel(g, self.cfg.head, self._init_rng)
-        train_forward(self.forward_model, d_real, g.train_epochs, g.batch_size, rng)
-        train_inverse(self.inverse_model, d_sim, g.train_epochs, g.batch_size, rng)
+        self.forward_model = ForwardModel(self.cfg.grounding, self._init_rng)
+        self.inverse_model = InverseModel(self.cfg.grounding, self.cfg.head, self._init_rng)
+        train_forward(self.forward_model, d_real, rng)
+        train_inverse(self.inverse_model, d_sim, rng)
 
     def ground(self, state: np.ndarray, action: int) -> UncertainAction:
         return ground(state, action, self.forward_model, self.inverse_model, self._head_rng)
 
 
-def collect_rollouts(
-    cfg: ExperimentConfig, state: PolicyState, train_demand: DemandSchedule
-) -> tuple[list[Transition], list[Transition]]:
+def collect_rollouts(cfg: ExperimentConfig, state: PolicyState, train_demand: DemandSchedule) -> Rollouts:
     """One grounding iteration's sim and real rollouts of state's policy.
 
     Both draw from the rollout stream, sim first; the agent is only read.
@@ -215,24 +208,26 @@ def collect_rollouts(
     return tuple(rollout(_training_env(cfg, name, train_demand), *args) for name in ("Default", cfg.scenario))
 
 
-def run_ugat(cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Schedules) -> SeedResult:
+def run_ugat(
+    cfg: ExperimentConfig, seed: int, start: PolicyState, schedules: Schedules, rollouts: Rollouts
+) -> SeedResult:
     """One seed of the grounded-training loop, continuing start in place.
 
-    start is this seed's state after cfg.pretrain_episodes, with iteration
-    1's sim and real rollouts in first_rollouts. Per iteration: take those
-    rollouts (collect fresh ones from iteration 2 on), refit the
-    transformation models, run E grounded policy-training episodes of T steps
-    (gating every step on u < alpha, learning every step, logging each step
-    as an audit row), and finally, under the dynamic rule, set alpha to the
-    mean u of this iteration's audit rows. ugat starts alpha at +inf; gat
-    pins it there and ugat_static at its constant.
+    start is this seed's state after cfg.pretrain_episodes, and rollouts its
+    iteration-1 (sim, real) rollouts, which start's rollout stream stands
+    after. Per iteration: take those rollouts (collect fresh ones from
+    iteration 2 on), refit the transformation models, run E grounded
+    policy-training episodes of T steps (gating every step on u < alpha,
+    learning every step, logging each step as an audit row), and finally,
+    under the dynamic rule, set alpha to the mean u of this iteration's audit
+    rows. ugat starts alpha at +inf; gat pins it there and ugat_static at its
+    constant.
     """
     if cfg.algorithm == "direct":
         raise ValueError("run_ugat needs a grounding algorithm (gat/ugat/ugat_static)")
     train_demand, eval_demands = schedules
     streams = start.streams
     sim_factory = _training_env(cfg, "Default", train_demand)
-    rollouts, start.first_rollouts = start.first_rollouts, None
 
     grounder = Grounder(cfg, streams["grounder_init"], streams["head"])
     alpha = float(cfg.static_alpha) if cfg.algorithm == "ugat_static" else math.inf
@@ -273,12 +268,13 @@ _START_FIELDS = (
 )
 
 
-def _start(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, collect: bool) -> PolicyState:
-    """seed's pretraining; with collect, iteration 1's rollouts are collected into it in place."""
+Start = tuple[PolicyState, Rollouts | None]  # a seed's pretrained state and iteration 1's rollouts
+
+
+def _start(cfg: ExperimentConfig, seed: int, train_demand: DemandSchedule, collect: bool) -> Start:
+    """seed's pretraining and, with collect, iteration 1's rollouts of it (else None)."""
     state = pretrain(cfg, seed, train_demand, cfg.pretrain_episodes)
-    if collect:
-        state.first_rollouts = collect_rollouts(cfg, state, train_demand)
-    return state
+    return state, collect_rollouts(cfg, state, train_demand) if collect else None
 
 
 def _trains_alone(cfg: ExperimentConfig) -> bool:
@@ -286,20 +282,17 @@ def _trains_alone(cfg: ExperimentConfig) -> bool:
     return cfg.algorithm == "direct" and cfg.direct_episodes < cfg.pretrain_episodes
 
 
-def _run_seed(
-    cfg: ExperimentConfig, seed: int, start: PolicyState | None, schedules: Schedules
-) -> SeedResult:
-    """One (arm, seed) task on its own copy of seed's start (None: a fresh, untrained one).
+def _run_seed(cfg: ExperimentConfig, seed: int, start: Start | None, schedules: Schedules) -> SeedResult:
+    """One (arm, seed) task on its own copy of seed's start (None: a fresh, untrained state).
 
-    A grounded arm runs run_ugat; a direct arm continues the copy in the sim
-    twin to cfg.direct_episodes, the bytes of train_direct_policy.
-    """
+    A grounded arm runs run_ugat on the copy; a direct arm continues its state
+    in the sim twin to cfg.direct_episodes, the bytes of train_direct_policy."""
     train_demand, eval_demands = schedules
-    start = pretrain(cfg, seed, train_demand, 0) if start is None else copy.deepcopy(start)
+    state, rollouts = (pretrain(cfg, seed, train_demand, 0), None) if start is None else copy.deepcopy(start)
     if cfg.algorithm != "direct":
-        return run_ugat(cfg, seed, start, schedules)
-    start.train(_training_env(cfg, "Default", train_demand), cfg.direct_episodes - len(start.curve))
-    return _seed_result(cfg, seed, start, eval_demands)
+        return run_ugat(cfg, seed, state, schedules, rollouts)
+    state.train(_training_env(cfg, "Default", train_demand), cfg.direct_episodes - len(state.curve))
+    return _seed_result(cfg, seed, state, eval_demands)
 
 
 def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> list[tuple[str, GapReport]]:
@@ -361,7 +354,7 @@ def run_arms(arms: Sequence[tuple[str, ExperimentConfig]], jobs: int = 1) -> lis
             per_seed = [next(results) for _ in base.seeds]
             if base.out_dir is not None:
                 for result in per_seed:
-                    io.write_seed_run(cfg, cfg.protocol_label, result)
+                    io.write_seed_run(cfg, result)
             rows.append((label, build_gap_report(cfg.protocol_label, cfg.scenario, per_seed)))
     return rows
 

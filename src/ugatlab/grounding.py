@@ -85,19 +85,21 @@ def normalize_state(state: np.ndarray, count_scale: float) -> np.ndarray:
 
 
 class ForwardModel:
-    """Predicts the normalized next state from [normalized state, onehot action]."""
+    """Predicts the normalized next state from [normalized state, onehot action].
+
+    Its network and Adam state are members[0] and adams[0], as in InverseModel."""
 
     def __init__(self, config: GroundingConfig, rng: np.random.Generator):
         self.config = config
         spec = MlpSpec(layer_sizes=(STATE_DIM + N_PHASES, *config.forward_hidden, STATE_DIM))
-        self.model = init_model(spec, rng)
-        self.adam = init_adam(self.model, learning_rate=config.learning_rate)
+        self.members = [init_model(spec, rng)]
+        self.adams = [init_adam(self.members[0], learning_rate=config.learning_rate)]
         self.trained_epochs = 0
 
     def predict_next_norm(self, state: np.ndarray, action: int) -> np.ndarray:
         s = normalize_state(state, self.config.count_scale)
         x = np.concatenate([s, np.eye(N_PHASES)[action]])
-        out, _ = forward(self.model, x[None])
+        out, _ = forward(self.members[0], x[None])
         return out[0]
 
 
@@ -147,59 +149,48 @@ def _dataset(transitions: Sequence[Transition], count_scale: float):
     return states, actions, nexts
 
 
-def _train(owner, members, adams, x, y, loss_fn, epochs, batch, rng, dropout=False) -> list[float]:
-    """Minibatch Adam for every member on the same shuffled minibatches.
+def _train(net, x, y, loss_fn, rng, dropout=False) -> list[float]:
+    """net.config.train_epochs of minibatch Adam at net.config.batch_size, every member alike.
 
     loss_fn(out, targets, lifetime_epoch) gives (loss, d loss / d out) and
     keeps no reference to out, which a full minibatch's pass writes into the
-    workspace its architecture shares at that height. Each
-    epoch draws the permutation first and then, with dropout, one mask seed
-    per member; returns the per-epoch mean of the member-averaged batch loss.
+    workspace its architecture shares at that height. Each epoch draws the
+    permutation first and then, with dropout, one mask seed per member, and
+    adds one to net.trained_epochs; returns the per-epoch mean of the
+    member-averaged batch loss.
     """
+    batch = net.config.batch_size
     trace = []
-    for _ in range(epochs):
+    for _ in range(net.config.train_epochs):
         batches = list(_minibatches(len(x), batch, rng))
-        drop_rngs = [np.random.default_rng(rng.integers(2**63)) if dropout else None for _ in members]
+        drop_rngs = [np.random.default_rng(rng.integers(2**63)) if dropout else None for _ in net.members]
         losses = []
         for idx in batches:
             xb, yb = x[idx], y[idx]
             batch_losses = []
             # a shorter last minibatch allocates: its height changes with the
             # dataset, and keeping a workspace per height only adds memory
-            work = workspace(members[0].spec.layer_sizes, batch) if len(idx) == batch else None
-            for member, adam, drop_rng in zip(members, adams, drop_rngs):
+            work = workspace(net.members[0].spec.layer_sizes, batch) if len(idx) == batch else None
+            for member, adam, drop_rng in zip(net.members, net.adams, drop_rngs):
                 out, cache = forward(member, xb, drop_rng, work=work)
-                loss, grad = loss_fn(out, yb, owner.trained_epochs)
-                adam_step(member, backward(member, cache, grad), adam)
+                loss, grad = loss_fn(out, yb, net.trained_epochs)
+                adam_step(member, backward(cache, grad), adam)
                 batch_losses.append(loss)
             losses.append(float(np.mean(batch_losses)))
         trace.append(float(np.mean(losses)))
-        owner.trained_epochs += 1
+        net.trained_epochs += 1
     return trace
 
 
-def train_forward(
-    fm: ForwardModel,
-    d_real: Sequence[Transition],
-    epochs: int,
-    batch: int,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Minibatch Adam on MSE(f(s, a), s'); returns the per-epoch loss trace."""
+def train_forward(fm: ForwardModel, d_real: Sequence[Transition], rng: np.random.Generator) -> list[float]:
+    """fm.config.train_epochs of minibatch Adam on MSE(f(s, a), s'); returns the per-epoch loss trace."""
     states, actions, y = _dataset(d_real, fm.config.count_scale)
     x = np.hstack([states, np.eye(N_PHASES)[actions]])
-    loss_fn = lambda out, t, _: mse_loss(out, t)
-    return _train(fm, [fm.model], [fm.adam], x, y, loss_fn, epochs, batch, rng)
+    return _train(fm, x, y, lambda out, t, _: mse_loss(out, t), rng)
 
 
-def train_inverse(
-    im: InverseModel,
-    d_sim: Sequence[Transition],
-    epochs: int,
-    batch: int,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Fit the executed action given (s', s); returns the per-epoch loss trace.
+def train_inverse(im: InverseModel, d_sim: Sequence[Transition], rng: np.random.Generator) -> list[float]:
+    """Fit the executed action given (s', s) for im.config.train_epochs; returns the per-epoch loss trace.
 
     The edl head trains under the evidential objective, its KL term annealed
     by min(1, lifetime_epoch / 10); logit heads train under plain categorical
@@ -212,8 +203,7 @@ def train_inverse(
         loss_fn = lambda out, t, epoch: edl_loss(out, t, anneal=min(1.0, epoch / 10.0))
     else:
         loss_fn = lambda out, t, _: cce_loss(out, t)
-    dropout = im.head == "dropout"
-    return _train(im, im.members, im.adams, x, targets, loss_fn, epochs, batch, rng, dropout)
+    return _train(im, x, targets, loss_fn, rng, dropout=im.head == "dropout")
 
 
 def edl_uncertainty(evidence: np.ndarray) -> tuple[float, np.ndarray]:

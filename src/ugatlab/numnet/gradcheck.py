@@ -42,7 +42,7 @@ def gradcheck(
     """
     out, cache = forward(model, x)
     _, dloss = loss_fn(out)
-    analytic = backward(model, cache, dloss)
+    analytic = backward(cache, dloss)
     params = model.params
     relu_layers = model.spec.n_layers - (model.spec.output_activation != "relu")
 

@@ -16,8 +16,8 @@ class ShapeError(ValueError):
 
 
 class CacheError(ValueError):
-    """Activation cache does not belong to the model handed to backward(), or a later
-    forward() overwrote the workspace it points into."""
+    """A later forward() overwrote the workspace an activation cache points into,
+    or loss_grad does not match the cached output's shape."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def workspace(layer_sizes: tuple[int, ...], rows: int) -> Workspace:
 
 @dataclass
 class ForwardCache:
-    """What backward() reads of a forward pass, tied to the model that ran it.
+    """What backward() reads of a forward pass, the model that ran it included.
 
     inputs[l] is layer l's input activation (inputs[0] the caller's x, later
     ones the hidden activations after relu and any dropout); preact is the
@@ -233,13 +233,13 @@ def forward(
     return out, ForwardCache(model, inputs, z, use_dropout, work, generation)
 
 
-def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
-    """Exact gradients of a scalar loss given d(loss)/d(output).
+def backward(cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
+    """Exact gradients of a scalar loss given d(loss)/d(output), for cache.model.
 
     loss_grad is (n, k) like forward()'s output and must already carry any
     1/n averaging; gradients are summed over the batch axis. loss_grad is
-    only read. The result is one float64 vector laid out like
-    ``model.params``, each weight and bias gradient written into its split()
+    only read. The result is one float64 vector laid out like the cached
+    model's ``params``, each weight and bias gradient written into its split()
     view of it: a new vector, or the workspace's grad when the forward pass
     wrote into a Workspace, which also holds the hidden deltas. A hidden
     unit's relu mask is ``a > 0`` on its activation (the next layer's
@@ -247,9 +247,7 @@ def backward(model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray) -> np.
     so the same mask drops its gradient. The bytes are those of multiplying
     by the dropout mask and then by ``z > 0``.
     """
-    if cache.model is not model:
-        raise CacheError("cache was produced by a different model")
-    work = cache.work
+    model, work = cache.model, cache.work
     if work is not None and cache.generation != work.generation:
         raise CacheError("a later forward() overwrote the workspace this cache's pass wrote into")
     g = as_batch(loss_grad, "loss_grad")

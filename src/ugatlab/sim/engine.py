@@ -188,8 +188,7 @@ class TrafficSim:
         self.completed: list[CompletedVehicle] = []
         self.gap_violations: list[tuple[float, int, float]] = []
         self.signal_violations: list[tuple[float, int, int]] = []
-        self._decision_rewards: list[float] = []
-        self._decision_queues: list[int] = []
+        self._decision_queues: list[int] = []  # total queue at each decision; its reward is -float(queue)
         self.queues: tuple[int, ...] = (0,) * N_LANES  # lane_queue_counts() at the last decision
         self._done = False
         return self.observe()
@@ -224,10 +223,11 @@ class TrafficSim:
         att = float(np.mean(travels)) if travels else 0.0
         delay = float(np.mean([1.0 - free_flow / t for t in travels])) if travels else 0.0
         delay_s = float(np.mean([t - free_flow for t in travels])) if travels else 0.0
+        rewards = [-float(q) for q in self._decision_queues]
         return MetricsRecord(
             att=att,
             tp=len(self.completed),
-            reward_mean=float(np.mean(self._decision_rewards)) if self._decision_rewards else 0.0,
+            reward_mean=float(np.mean(rewards)) if rewards else 0.0,
             queue_mean=float(np.mean(self._decision_queues)) if self._decision_queues else 0.0,
             delay=delay,
             delay_seconds=delay_s,
@@ -256,12 +256,10 @@ class TrafficSim:
             self._tick(PHASES[action], self._ticks_per_decision)
         queues = self.queues = self.lane_queue_counts()
         total_queue = sum(queues)
-        reward = -float(total_queue)
-        self._decision_rewards.append(reward)
         self._decision_queues.append(total_queue)
         if self.tick_count >= self._episode_ticks:
             self._done = True
-        return self.observe(), reward, self._done
+        return self.observe(), -float(total_queue), self._done
 
     # --- internals --------------------------------------------------------
 
@@ -443,5 +441,5 @@ class TrafficSim:
                 rows.append(f"{i}:{v.vid}:{v.pos!r}:{v.speed!r}:{v.startup_timer!r}")
         rows.append(f"spawned={self.spawned} completed={len(self.completed)}")
         rows.extend(f"c:{c.vid}:{c.completion_time!r}" for c in self.completed)
-        rows.extend(f"r:{r!r}" for r in self._decision_rewards)
+        rows.extend(f"r:{-float(q)!r}" for q in self._decision_queues)
         return "\n".join(rows)

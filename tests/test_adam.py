@@ -150,7 +150,7 @@ def reference_adam(params, m, v, step, g, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 def backward_grads(model, rng, rows):
     x = rng.normal(size=(rows, model.spec.layer_sizes[0]))
     out, cache = forward(model, x)
-    return backward(model, cache, rng.normal(size=out.shape) / out.size)
+    return backward(cache, rng.normal(size=out.shape) / out.size)
 
 
 @pytest.mark.parametrize("rows", [1, 64])

@@ -668,6 +668,25 @@ def test_train_ugat_rejects_an_alpha_list(tiny_config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, alpha, message",
+    [
+        ("train-ugat", "abc", "bad value for --alpha: could not convert string to float: 'abc'"),
+        ("train-ugat", " ", "bad value for --alpha: empty item in ''"),
+        ("train-ugat", "0.2,0.4", "train-ugat --alpha takes one rate, got '0.2,0.4'"),
+        ("sweep-alpha", "abc", "bad value for --alpha: could not convert string to float: 'abc'"),
+        ("sweep-alpha", " ", "bad value for --alpha: empty item in ''"),
+        ("sweep-alpha", "0.2,,0.4", "bad value for --alpha: empty item in '0.2,,0.4'"),
+    ],
+)
+def test_a_malformed_alpha_flag_names_the_flag(command, alpha, message, tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([command, "--config", tiny_config, "--out", str(out), "--alpha", alpha, "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == f"ugatlab: error: config: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_alpha_dynamic_arm_has_no_static_alpha(tiny_config, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep-alpha", "--config", tiny_config, "--out", str(out), "--alpha", "0.5", "--quiet"]) == 0

@@ -322,7 +322,7 @@ def reference_learn(agent, buffer):
     loss, dpred = mse_loss(q_all[rows, actions], targets)
     grad_out = np.zeros_like(q_all)
     grad_out[rows, actions] = dpred
-    adam_step(agent.q_model, backward(agent.q_model, cache, grad_out), agent.adam)
+    adam_step(agent.q_model, backward(cache, grad_out), agent.adam)
     agent.learn_steps += 1
     return loss
 

@@ -71,8 +71,8 @@ def test_a_wrong_backward_still_fails_beside_skipped_kinks(monkeypatch):
     module = importlib.import_module("ugatlab.numnet.gradcheck")
     right = module.backward
 
-    def wrong(model, cache, loss_grad):
-        return right(model, cache, loss_grad) + 1e-3
+    def wrong(cache, loss_grad):
+        return right(cache, loss_grad) + 1e-3
 
     monkeypatch.setattr(module, "backward", wrong)
     result = gradcheck(dead_relu_edl_model(), lambda y: edl_loss(y, 1, anneal=0.5), np.ones((1, 3)))
@@ -87,8 +87,8 @@ def test_worst_names_the_one_wrong_coordinate(monkeypatch, i):
     module = importlib.import_module("ugatlab.numnet.gradcheck")
     right = module.backward
 
-    def wrong(model, cache, loss_grad):
-        grad = right(model, cache, loss_grad)
+    def wrong(cache, loss_grad):
+        grad = right(cache, loss_grad)
         grad[i] += 1e-3
         return grad
 

@@ -1,10 +1,13 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ugatlab.dqn import Transition
+from ugatlab.experiment import ExperimentConfig
+from ugatlab.experiment.protocols import Grounder
 from ugatlab.grounding import (
     ForwardModel,
     GroundingConfig,
@@ -23,6 +26,11 @@ from ugatlab.grounding import (
 from ugatlab.numnet import forward, softmax
 
 CFG = GroundingConfig(train_epochs=5, batch_size=32)
+
+
+def fit_cfg(epochs, batch):
+    """CFG with the epochs and minibatch size a fit reads off its model's config."""
+    return replace(CFG, train_epochs=epochs, batch_size=batch)
 
 
 def make_state(counts, phase):
@@ -231,8 +239,8 @@ def test_train_forward_memorizes_a_single_pattern():
     s = make_state(np.arange(12), 0)
     s2 = make_state(np.arange(12)[::-1], 3)
     data = [Transition(s, 3, -1.0, s2, False)] * 64
-    fm = ForwardModel(CFG, rng)
-    trace = train_forward(fm, data, epochs=300, batch=32, rng=rng)
+    fm = ForwardModel(fit_cfg(300, 32), rng)
+    trace = train_forward(fm, data, rng)
     assert trace[-1] < 1e-4
     predicted = fm.predict_next_norm(s, 3)
     np.testing.assert_allclose(predicted, normalize_state(s2, CFG.count_scale), atol=0.02)
@@ -256,8 +264,8 @@ def test_train_forward_learns_linear_dynamics_better_than_variance():
         s_next_norm = amat @ s_norm + bmat[:, a]
         data.append(Transition(denormalize(s_norm), a, 0.0, denormalize(s_next_norm), False))
     held = data[300:]
-    fm = ForwardModel(CFG, rng)
-    train_forward(fm, data[:300], epochs=200, batch=64, rng=rng)
+    fm = ForwardModel(fit_cfg(200, 64), rng)
+    train_forward(fm, data[:300], rng)
     errs, var_ref = [], []
     targets = np.stack([normalize_state(t.next_state, CFG.count_scale) for t in held])
     mean_target = targets.mean(axis=0)
@@ -271,8 +279,8 @@ def test_train_forward_learns_linear_dynamics_better_than_variance():
 def test_train_forward_loss_trace_nonincreasing_within_jitter():
     rng = np.random.default_rng(17)
     data = random_transitions(200, rng)
-    fm = ForwardModel(CFG, rng)
-    trace = train_forward(fm, data, epochs=30, batch=32, rng=rng)
+    fm = ForwardModel(fit_cfg(30, 32), rng)
+    trace = train_forward(fm, data, rng)
     for prev, cur in zip(trace, trace[1:]):
         assert cur <= prev * 1.05
 
@@ -282,33 +290,51 @@ def test_training_continues_from_a_deepcopy_like_the_original(head):
     # the original and a deepcopy continue epoch by epoch in turn, through
     # the workspaces every model of their architecture shares, and both
     # end with the bytes of a copy that ran its epochs in one call; 100
-    # transitions make three full minibatches of 32 and one of 4
+    # transitions make three full minibatches of 32 and one of 4. Each fit
+    # runs the epochs its model's config names
     data = random_transitions(100, np.random.default_rng(41))
-    fm, im = ForwardModel(CFG, np.random.default_rng(42)), InverseModel(CFG, head, np.random.default_rng(43))
-    train_forward(fm, data, 2, 32, np.random.default_rng(44))
-    train_inverse(im, data, 2, 32, np.random.default_rng(45))
+    cfg = fit_cfg(2, 32)
+    fm, im = ForwardModel(cfg, np.random.default_rng(42)), InverseModel(cfg, head, np.random.default_rng(43))
+    train_forward(fm, data, np.random.default_rng(44))
+    train_inverse(im, data, np.random.default_rng(45))
     pairs = [(fm, im), copy.deepcopy((fm, im)), copy.deepcopy((fm, im))]
+    for (f, i), epochs in zip(pairs, (1, 1, 3)):
+        f.config = i.config = fit_cfg(epochs, 32)
     rngs = [(np.random.default_rng(46), np.random.default_rng(47)) for _ in pairs]
     traces = [([], []) for _ in pairs]
     for _ in range(3):
         for (f, i), (rf, ri), (tf, ti) in zip(pairs[:2], rngs, traces):
-            tf += train_forward(f, data, 1, 32, rf)
-            ti += train_inverse(i, data, 1, 32, ri)
+            tf += train_forward(f, data, rf)
+            ti += train_inverse(i, data, ri)
     (f, i), (rf, ri) = pairs[2], rngs[2]
-    traces[2] = (train_forward(f, data, 3, 32, rf), train_inverse(i, data, 3, 32, ri))
+    traces[2] = (train_forward(f, data, rf), train_inverse(i, data, ri))
     assert traces[0] == traces[1] == traces[2]
     for f, i in pairs[1:]:
-        for model, want in zip((f.model, *i.members), (fm.model, *im.members)):
+        for model, want in zip((*f.members, *i.members), (*fm.members, *im.members)):
             assert model.params.tobytes() == want.params.tobytes()
             assert not np.shares_memory(model.params, want.params)
-        for adam, want in zip((f.adam, *i.adams), (fm.adam, *im.adams)):
+        for adam, want in zip((*f.adams, *i.adams), (*fm.adams, *im.adams)):
             assert (adam.m.tobytes(), adam.v.tobytes()) == (want.m.tobytes(), want.v.tobytes())
+
+
+@pytest.mark.parametrize("head", ["edl", "dropout", "ensemble", "logits"])
+def test_grounder_fit_runs_the_epochs_and_minibatches_its_config_names(head):
+    # 100 transitions at batch_size 32 make four minibatches an epoch, so
+    # three epochs take twelve Adam steps in every member of both models
+    cfg = ExperimentConfig(head=head, grounding=GroundingConfig(train_epochs=3, batch_size=32))
+    grounder = Grounder(cfg, np.random.default_rng(0), np.random.default_rng(1))
+    data = random_transitions(100, np.random.default_rng(2))
+    grounder.fit(data, data, np.random.default_rng(3))
+    fm, im = grounder.forward_model, grounder.inverse_model
+    assert (fm.trained_epochs, im.trained_epochs) == (3, 3)
+    assert len(im.adams) == (CFG.ensemble_size if head == "ensemble" else 1)
+    assert [adam.step for adam in (*fm.adams, *im.adams)] == [12] * (1 + len(im.adams))
 
 
 def test_train_forward_empty_dataset_raises():
     fm = ForwardModel(CFG, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        train_forward(fm, [], epochs=1, batch=8, rng=np.random.default_rng(0))
+        train_forward(fm, [], np.random.default_rng(0))
 
 
 def synthetic_phase_coded_transitions(n, rng):
@@ -326,8 +352,8 @@ def synthetic_phase_coded_transitions(n, rng):
 def test_train_inverse_reaches_99_percent_on_separable_data(head):
     rng = np.random.default_rng(23)
     data = synthetic_phase_coded_transitions(600, rng)
-    im = InverseModel(CFG, head, rng)
-    train_inverse(im, data[:500], epochs=40, batch=64, rng=rng)
+    im = InverseModel(fit_cfg(40, 64), head, rng)
+    train_inverse(im, data[:500], rng)
     correct = 0
     for t in data[500:]:
         x = np.concatenate(
@@ -345,7 +371,7 @@ def test_train_inverse_single_class_uncertainty_decreases():
     rng = np.random.default_rng(29)
     data = [t for t in synthetic_phase_coded_transitions(400, rng) if True]
     data = [Transition(t.state, 4, t.reward, make_state(t.next_state[:12], 4), False) for t in data]
-    im = InverseModel(CFG, "edl", rng)
+    im = InverseModel(fit_cfg(5, 64), "edl", rng)
     probe = np.concatenate(
         [
             normalize_state(data[0].next_state, CFG.count_scale),
@@ -354,7 +380,7 @@ def test_train_inverse_single_class_uncertainty_decreases():
     )
     uncertainties = []
     for _ in range(4):
-        train_inverse(im, data, epochs=5, batch=64, rng=rng)
+        train_inverse(im, data, rng)
         a_hat, u = head_uncertainty(im, probe, rng)
         uncertainties.append(u)
     assert a_hat == 4
@@ -365,7 +391,7 @@ def test_train_inverse_single_class_uncertainty_decreases():
 def test_train_inverse_empty_dataset_raises():
     im = InverseModel(CFG, "edl", np.random.default_rng(0))
     with pytest.raises(ValueError):
-        train_inverse(im, [], epochs=1, batch=8, rng=np.random.default_rng(0))
+        train_inverse(im, [], np.random.default_rng(0))
 
 
 # --- ground -----------------------------------------------------------------------
@@ -383,11 +409,11 @@ def test_ground_recovers_action_with_exact_stub_models():
     # forward stub = true phase-coded dynamics, inverse stub = exact decoder:
     # grounding must return the original action for every (s, a)
     rng = np.random.default_rng(37)
-    fm = ForwardModel(CFG, rng)
-    im = InverseModel(CFG, "edl", rng)
+    fm = ForwardModel(fit_cfg(60, 64), rng)
+    im = InverseModel(fit_cfg(60, 64), "edl", rng)
     data = synthetic_phase_coded_transitions(800, rng)
-    train_forward(fm, data, epochs=60, batch=64, rng=rng)
-    train_inverse(im, data, epochs=60, batch=64, rng=rng)
+    train_forward(fm, data, rng)
+    train_inverse(im, data, rng)
     agree = 0
     for t in data[:100]:
         ua = ground(t.state, t.action, fm, im, rng)
